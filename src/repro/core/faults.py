@@ -19,10 +19,14 @@ at each release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from dataclasses import dataclass
+from numbers import Real
+from typing import TYPE_CHECKING, Iterable, Protocol
 
-from repro.rng import derive_rng
+from repro.rng import stable_hash
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FaultModel",
@@ -31,6 +35,8 @@ __all__ = [
     "CostUnderrun",
     "FaultInjector",
     "RandomFaults",
+    "job_seeds",
+    "uniform_extras",
 ]
 
 
@@ -118,34 +124,100 @@ class FaultInjector:
         return f"FaultInjector({self._delta!r})"
 
 
-@dataclass
+#: SplitMix64's increment (the golden-ratio word): the counter of job
+#: ``j`` sits at ``key + (2j + 1)·γ`` and its size draw one γ later, so
+#: the two hashes of every job come from disjoint counters.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+#: Largest ``max_extra``: keeps ``cost + extra`` inside int64 in the
+#: population stepper's demand table.
+_MAX_EXTRA = 1 << 62
+
+# The draw below is written once, as integer arithmetic that a Python
+# int and a numpy ``uint64`` array evaluate identically: the 64-bit
+# masks make Python ints wrap the way numpy products do, and no partial
+# sum ever exceeds 2⁶⁴ − 1.  ``RandomFaults.demand`` feeds it one job's
+# counter; ``uniform_extras`` feeds it a whole population's.
+
+
+def _mix64(z):
+    """The SplitMix64 finalizer: a bijective 64-bit avalanche mix."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mulhi(a, b):
+    """``⌊a·b / 2⁶⁴⌋`` for 64-bit words, from 32-bit limbs."""
+    a0, a1 = a & 0xFFFFFFFF, a >> 32
+    b0, b1 = b & 0xFFFFFFFF, b >> 32
+    mid = a1 * b0 + ((a0 * b0) >> 32)
+    mid2 = a0 * b1 + (mid & 0xFFFFFFFF)
+    return a1 * b1 + (mid >> 32) + (mid2 >> 32)
+
+
+def _draw(state, rate, max_extra):
+    """The overrun of the job whose counter is *state* (0 if none)."""
+    faulty = (_mix64(state) >> 11) * 2.0**-53 < rate
+    size = 1 + _mulhi(_mix64((state + _GAMMA) & _MASK64), max_extra)
+    return size * faulty
+
+
+@dataclass(frozen=True)
 class RandomFaults:
     """Seeded random overruns for ablation sweeps.
 
     Each job of each task independently overruns with probability
     *rate*; the overrun size is uniform on ``[1, max_extra]`` ns.
-    Deterministic for a given seed: the per-job draw keys on
-    ``(task_name, job)`` so demand queries are order-independent and
-    repeatable (the simulator may query a job more than once).  The
-    per-key stream comes from :func:`repro.rng.derive_rng`, which is
-    stable *across processes* — the salted builtin ``hash`` is not.
+    The draw is a keyed counter hash, a pure function of ``(seed,
+    task_name, job)``, so demand queries are order-independent and
+    repeatable (the simulator may query a job more than once):
+
+    * ``key = stable_hash(seed, task_name)`` — stable *across
+      processes*, unlike the salted builtin ``hash``;
+    * ``s = key + (2·job + 1)·γ (mod 2⁶⁴)``, ``h1 = mix64(s)`` and
+      ``h2 = mix64(s + γ)``, with the SplitMix64 finalizer;
+    * the job is faulty iff ``(h1 >> 11)·2⁻⁵³ < rate``, and then
+      ``extra = 1 + ⌊h2·max_extra / 2⁶⁴⌋`` — biased by at most
+      ``max_extra / 2⁶⁴``, with no rejection loop.
     """
 
     rate: float
     max_extra: int
     seed: int = 0
-    _cache: dict[tuple[str, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        if self.max_extra <= 0:
-            raise ValueError("max_extra must be > 0")
+        if (
+            isinstance(self.rate, bool)
+            or not isinstance(self.rate, Real)
+            or not 0.0 <= self.rate <= 1.0
+        ):
+            raise ValueError(f"rate must be a finite real in [0, 1], got {self.rate!r}")
+        if (
+            isinstance(self.max_extra, bool)
+            or not isinstance(self.max_extra, int)
+            or not 1 <= self.max_extra <= _MAX_EXTRA
+        ):
+            raise ValueError(
+                f"max_extra must be an int in [1, 2**62], got {self.max_extra!r}"
+            )
 
     def demand(self, task_name: str, job: int, base_cost: int) -> int:
-        key = (task_name, job)
-        if key not in self._cache:
-            rng = derive_rng(self.seed, task_name, job)
-            extra = rng.randint(1, self.max_extra) if rng.random() < self.rate else 0
-            self._cache[key] = extra
-        return base_cost + self._cache[key]
+        state = (stable_hash(self.seed, task_name) + (2 * job + 1) * _GAMMA) & _MASK64
+        return base_cost + _draw(state, self.rate, self.max_extra)
+
+
+def job_seeds(seed: int, task_name: str, count: int) -> np.ndarray:
+    """The ``RandomFaults`` counters of jobs ``0 .. count-1`` of
+    *task_name*: one ``uint64`` state per job."""
+    import numpy as np  # on first use: ``import repro`` stays numpy-free
+
+    jobs = np.arange(count, dtype=np.uint64)
+    return (jobs * 2 + 1) * _GAMMA + stable_hash(seed, task_name)
+
+
+def uniform_extras(states: np.ndarray, rates: np.ndarray, maxes: np.ndarray) -> np.ndarray:
+    """Per-job overruns (int64) for :func:`job_seeds` states: element
+    ``i`` is what ``RandomFaults(rates[i], maxes[i], seed).demand``
+    adds to the cost of the job whose counter is ``states[i]``."""
+    return _draw(states, rates, maxes.astype("uint64")).astype("int64")

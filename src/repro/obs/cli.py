@@ -107,7 +107,11 @@ def _replay(paths: list[Path]) -> int:
         if not path.exists():
             print(f"error: no such bundle: {path}", file=sys.stderr)
             return 2
-        result = replay(path)
+        try:
+            result = replay(path)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(result.describe())
         if not result.ok:
             failures += 1

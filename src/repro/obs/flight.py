@@ -52,7 +52,9 @@ __all__ = [
     "replay",
 ]
 
-BUNDLE_SCHEMA = 1
+#: Version 2: ``RandomFaults`` draws are a counter hash (the same fault
+#: fields replay a different schedule than version 1 recorded).
+BUNDLE_SCHEMA = 2
 
 #: Default ring capacity: enough for the closing few hyperperiods of a
 #: small system while keeping per-worker memory bounded.
@@ -172,7 +174,7 @@ def _faults_from_data(data: Mapping[str, Any] | None):
     if data["kind"] == "random":
         return RandomFaults(
             rate=float(data["rate"]),
-            max_extra=int(data["max_extra"]),
+            max_extra=data["max_extra"],
             seed=int(data["seed"]),
         )
     if data["kind"] == "injector":
@@ -317,12 +319,16 @@ def replay(path: str | Path) -> ReplayResult:
 
     doc = load_bundle(path)
     system = doc["system"]
+    try:
+        faults = _faults_from_data(system["faults"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     taskset = _tasks_from_data(system["tasks"])
     treatment = TreatmentKind(system["treatment"]) if system["treatment"] else None
     result = run_simulation(
         taskset,
         horizon=int(system["horizon"]),
-        faults=_faults_from_data(system["faults"]),
+        faults=faults,
         treatment=treatment,
     )
     records = sim_job_records(result)

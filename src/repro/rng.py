@@ -10,7 +10,7 @@ checked against a rerun.  Two helpers make that easy to get right:
   (PEP 456), so ``random.Random(hash(("tau1", 5)))`` yields a
   *different* stream on every run; ``stable_hash`` does not.
 * :func:`derive_rng` — an independent seeded stream per key, so
-  per-entity draws (e.g. the fault model's per-job overruns) are
+  per-entity draws (e.g. each generated system of a population) are
   query-order independent.
 
 Call sites accept an optional ``rng: random.Random`` so tests and

@@ -7,14 +7,6 @@ package: :class:`RealtimeThreadExtended` and
 """
 
 from repro.rtsj.extended import FeasibilityAnalysis, RealtimeThreadExtended
-from repro.rtsj.memory import (
-    AllocationContext,
-    ImmortalMemory,
-    LTMemory,
-    MemoryAccessError,
-    MemoryArea,
-    ScopedMemory,
-)
 from repro.rtsj.params import (
     AperiodicParameters,
     PeriodicParameters,
@@ -62,10 +54,4 @@ __all__ = [
     "PeriodicTimer",
     "RealtimeThreadExtended",
     "FeasibilityAnalysis",
-    "MemoryArea",
-    "ImmortalMemory",
-    "ScopedMemory",
-    "LTMemory",
-    "AllocationContext",
-    "MemoryAccessError",
 ]

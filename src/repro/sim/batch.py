@@ -13,7 +13,7 @@ cost overruns with detector-based treatments:
   (``next_release``, head-job ``remaining``, released/done counters)
   plus a flat per-job *demand* table precomputed from the fault model
   (bit-for-bit the values the exact engine draws, since both sides
-  query the same ``derive_rng``-keyed streams);
+  evaluate the same ``RandomFaults`` counter hash);
 * each step advances every system to its *own* next event instant
   (completion, detector stop or release) and applies all simultaneous
   events in the engine's rank order — completions, then detector
@@ -54,11 +54,17 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.detection import RoundingMode
-from repro.core.faults import FaultInjector, FaultModel, NoFaults, RandomFaults
+from repro.core.faults import (
+    FaultInjector,
+    FaultModel,
+    NoFaults,
+    RandomFaults,
+    job_seeds,
+    uniform_extras,
+)
 from repro.core.task import TaskSet
 from repro.core.treatments import TreatmentKind, TreatmentPlan
 from repro.rng import stable_hash
-from repro.workloads.faultstream import job_seeds, uniform_extras
 from repro.sim.simulation import SimResult
 from repro.sim.vm import EXACT_VM, NoOverhead, VMProfile
 
@@ -296,14 +302,14 @@ def _demand_table(
     A :class:`FaultInjector` is applied sparsely through
     ``FaultModel.demand`` itself (only its deviation keys are visited)
     — the same calls the exact engine makes at each release, bit-exact
-    by construction.  A :class:`RandomFaults` stream must be drawn for
-    every released job; those draws are replayed vectorized by
-    :mod:`repro.workloads.faultstream`, whose streams reproduce the
-    exact engine's ``derive_rng`` draws bit-for-bit (oracle-checked)."""
+    by construction.  A :class:`RandomFaults` draw is needed for every
+    released job; :func:`~repro.core.faults.uniform_extras` evaluates
+    the same counter hash as ``RandomFaults.demand`` over all of them
+    at once."""
     demand_flat = np.repeat(cost.reshape(-1), counts_flat)
-    # (destination slot base, derived seeds, rate, max_extra) per
-    # (system, task) segment — gathered chunk-wide so the MT19937
-    # replay seeds every stream of the chunk in a few large batches.
+    # (destination slot base, job counters, rate, max_extra) per
+    # (system, task) segment — gathered chunk-wide so the whole chunk
+    # is drawn in one vector pass.
     segments: list[tuple[int, np.ndarray, float, int]] = []
     for s, fm in enumerate(fault_list):
         if fm is None or isinstance(fm, NoFaults):

@@ -16,6 +16,7 @@ from repro.core.faults import CostOverrun, FaultInjector, RandomFaults
 from repro.core.task import Task, TaskSet
 from repro.exec.executor import LocalExecutor, PoolExecutor
 from repro.exec.sweep import SweepSpec, run_sweep
+from repro.obs.cli import main as obs_main
 from repro.obs.flight import (
     DEFAULT_RING_CAPACITY,
     AnomalyReport,
@@ -42,6 +43,16 @@ def fault_sweep() -> SweepSpec:
         chunk_size=4,
         fault_rate=0.3,
         feasible_only=True,
+    )
+
+
+def _random_faults_report() -> AnomalyReport:
+    return AnomalyReport(
+        kind="stepper-divergence",
+        detail="unit",
+        taskset=TaskSet((Task(name="T1", cost=10, period=50, priority=1),)),
+        horizon=100,
+        faults=RandomFaults(rate=0.5, max_extra=7, seed=3),
     )
 
 
@@ -112,14 +123,30 @@ class TestCapture:
         with pytest.raises(ValueError, match="schema"):
             load_bundle(bad)
 
+    def test_schema_1_bundle_rejected(self, tmp_path):
+        """Schema 1 predates the counter-hash ``RandomFaults`` draw: its
+        fault fields would replay a different schedule, so loading it is
+        a one-line error rather than a false divergence."""
+        report = _random_faults_report()
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**report.bundle(), "schema": 1}))
+        with pytest.raises(ValueError, match="unsupported flight bundle schema 1$"):
+            load_bundle(old)
+        assert obs_main(["replay", str(old)]) == 2
+
+    @pytest.mark.parametrize("max_extra", [2**70, 2.5])
+    def test_bad_max_extra_rejected(self, tmp_path, max_extra):
+        report = _random_faults_report()
+        path = FlightRecorder(tmp_path).capture(report)
+        doc = json.loads(path.read_text())
+        doc["system"]["faults"]["max_extra"] = max_extra
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^\S+\.json: max_extra must be") as info:
+            replay(path)
+        assert "\n" not in str(info.value)
+
     def test_random_faults_round_trip(self, tmp_path):
-        report = AnomalyReport(
-            kind="stepper-divergence",
-            detail="unit",
-            taskset=TaskSet((Task(name="T1", cost=10, period=50, priority=1),)),
-            horizon=100,
-            faults=RandomFaults(rate=0.5, max_extra=7, seed=3),
-        )
+        report = _random_faults_report()
         doc = load_bundle(FlightRecorder(tmp_path).capture(report))
         assert doc["system"]["faults"] == {
             "kind": "random",
