@@ -121,17 +121,3 @@ def plan_detectors(
             nominal_offset=nominal,
         )
     return specs
-
-
-def detector_overhead_note(taskset: TaskSet) -> str:
-    """Human-readable restatement of the paper's §6.2 overhead remark.
-
-    The runtime overhead of the mechanism is one preemption per job plus
-    the (unbounded) stop-flag check; the more tasks, the more detectors,
-    hence the more this overhead weighs on the execution.
-    """
-    return (
-        f"{len(taskset)} detector task(s) installed: overhead is one "
-        "preemption per job plus the stop-flag polling cost; grows "
-        "linearly with the number of tasks."
-    )

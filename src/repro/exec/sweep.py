@@ -32,7 +32,10 @@ rest go through the exact engine in :func:`_exact_fallback` — the one
 sanctioned per-system ``simulate`` loop in population code (lint rule
 RT010) — and each fallback reason feeds a
 ``sweep_fallback_total{reason=...}`` telemetry counter so coverage
-regressions show up on the dashboard.
+regressions show up on the dashboard.  Either way a point is
+admitted and planned once: the same :class:`TreatmentPlan` drives
+whichever route runs it, and both routes return a
+:class:`~repro.sim.batch.BatchSystemResult`.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.exec.spec import ExperimentSpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.flight import AnomalyReport
 from repro.rng import stable_hash
-from repro.sim.batch import JobRecord, classify, sim_job_records, simulate_batch
+from repro.sim.batch import BatchSystemResult, classify, simulate_batch
 from repro.workloads.population import PopulationConfig, generate_population
 
 __all__ = [
@@ -73,6 +76,28 @@ SWEEP_AXES = ("utilization", "n", "deadline_factor", "fault_rate", "treatment")
 
 #: One cell of the axis grid: ``((axis, value), ...)`` in axis order.
 Cell = tuple[tuple[str, Any], ...]
+
+#: One system's run: ``(taskset, horizon, faults, plan)``.
+Work = tuple[Any, int, FaultModel | None, TreatmentPlan | None]
+
+
+def _check_axis_value(axis: str, value: Any) -> None:
+    """Raise a one-line ``ValueError`` naming *axis* when *value* is not
+    one the sweep can run."""
+    try:
+        if axis == "treatment":
+            known = [kind.value for kind in TreatmentKind]
+            if value and value not in known:
+                raise ValueError(f"unknown treatment; known: {', '.join(known)}")
+        elif axis == "fault_rate":
+            if not 0.0 <= float(value) <= 1.0:
+                raise ValueError("must be in [0, 1]")
+        elif axis == "n":
+            PopulationConfig(n=int(value))
+        else:
+            PopulationConfig(**{axis: float(value)})
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"sweep {axis}={value!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -96,6 +121,7 @@ class SweepSpec:
     fault_rate: float = 0.0
     #: Overrun sizes are uniform on ``[1, fault_scale × min period]``.
     fault_scale: float = 0.5
+    #: Keep only analysis-feasible draws; a treatment requires it.
     feasible_only: bool = False
     #: Optional weakly-hard constraint ``(m, K)`` attached to every
     #: task of every generated system (None = classic hard deadlines).
@@ -126,6 +152,20 @@ class SweepSpec:
             raise ValueError("horizon_periods must be >= 1")
         if self.mk is not None:
             MKConstraint(*self.mk)  # validates 1 <= K, 0 <= m <= K
+        # Every value a point can take per axis — the grid's when swept,
+        # the field default otherwise — is checked here, so a bad spec
+        # fails before its first chunk rather than inside it.
+        swept = dict(self.axes)
+        for axis in SWEEP_AXES:
+            for value in swept.get(axis, (getattr(self, axis),)):
+                _check_axis_value(axis, value)
+        if any(swept.get("treatment", (self.treatment,))) and not self.feasible_only:
+            # Admission control rejects infeasible systems, and which
+            # draws are infeasible is luck: require the generator filter.
+            raise ValueError(
+                "sweep treatment needs feasible_only=True "
+                "(admission control rejects infeasible systems)"
+            )
 
     @classmethod
     def make(
@@ -314,55 +354,13 @@ def _cell_faults(sweep: SweepSpec, cell: Cell, r: int, taskset) -> FaultModel | 
     )
 
 
-def _summarize(
-    records: tuple[JobRecord, ...], faulty_tasks: frozenset[str]
-) -> tuple[int, int, int, int, int, int]:
-    """(released, completed, misses, stopped, detections, collateral)
-    from the shared record vocabulary — the exact path's summary; the
-    batched path reads the same counters off the stepper's arrays, and
-    the parity suite pins the two equal, so a point's counters never
-    depend on the route taken."""
-    released = len(records)
-    completed = misses = stopped = detections = 0
-    failed = set()
-    for r in records:
-        if r[3] >= 0 and not r[5]:
-            completed += 1
-        if r[4]:
-            misses += 1
-        if r[5]:
-            stopped += 1
-        if r[6]:
-            detections += 1
-        if r[4] or r[5]:
-            failed.add(r[0])
-    collateral = len(failed - faulty_tasks)
-    return released, completed, misses, stopped, detections, collateral
-
-
-def _faulty_tasks(
-    taskset, records: tuple[JobRecord, ...], faults: FaultModel | None
-) -> frozenset[str]:
-    """Tasks whose released jobs were granted demand above the declared
-    cost (the paper's definition of the *faulty*, vs collateral, task)."""
-    if faults is None:
-        return frozenset()
-    costs = {t.name: t.cost for t in taskset}
-    return frozenset(
-        name
-        for name, k, *_ in records
-        if faults.demand(name, k, costs[name]) > costs[name]
-    )
-
-
-def _exact_fallback(
-    work: list[tuple[Any, int, FaultModel | None, TreatmentKind | None]],
-) -> list[tuple[tuple[JobRecord, ...], list]]:
+def _exact_fallback(work: list[Work]) -> list[tuple[BatchSystemResult, list]]:
     """The classifier fallback: the one sanctioned per-system simulate
     loop in population code (RT010).  Every system the vectorized
-    stepper cannot model byte-exactly runs the real engine here.
+    stepper cannot model byte-exactly runs the real engine here, under
+    the plan :func:`build_chunk` already made for it.
 
-    Returns ``(records, ring_tail)`` per system: when a flight recorder
+    Returns ``(result, ring_tail)`` per system: when a flight recorder
     is active, its bounded trace ring is cleared before each simulation
     and the surviving tail captured after, so an anomaly bundle for
     system *i* carries the closing events of *that* system's schedule
@@ -371,20 +369,19 @@ def _exact_fallback(
     cfg = obs_runtime.current()
     ring = cfg.flight.ring if cfg is not None and cfg.flight is not None else None
     out = []
-    for taskset, horizon, faults, treatment in work:
+    for taskset, horizon, faults, plan in work:
         if ring is not None:
             ring.clear()
-        result = run_simulation(
-            taskset, horizon=horizon, faults=faults, treatment=treatment
-        )
+        result = run_simulation(taskset, horizon=horizon, faults=faults, treatment=plan)
         tail = ring.tail() if ring is not None else []
-        out.append((sim_job_records(result), tail))
+        out.append((BatchSystemResult.from_exact(result, faults), tail))
     return out
 
 
 def build_chunk(spec: ExperimentSpec, stepper: str = "batched") -> SweepChunk:
-    """Materialise one chunk spec: generate its systems, route each
-    through the classifier, run both paths, summarise.
+    """Materialise one chunk spec: generate its systems, plan each
+    treated one, route each through the classifier, run both paths,
+    summarise.
 
     *stepper* selects how classifier-eligible systems execute —
     ``"batched"`` (vectorized), ``"exact"`` (per-system engine) or
@@ -424,6 +421,12 @@ def build_chunk(spec: ExperimentSpec, stepper: str = "batched") -> SweepChunk:
         systems = [
             ts.with_mk({t.name: constraint for t in ts}) for ts in systems
         ]
+    # The generator filter already ran the hard analysis on every
+    # system it kept (an (m, K) constraint does not change it).
+    if sweep.feasible_only:
+        feasible = [True] * len(systems)
+    else:
+        feasible = [is_feasible(ts) for ts in systems]
 
     horizons = [sweep.horizon_periods * max(t.period for t in ts) for ts in systems]
     faults = [
@@ -436,24 +439,24 @@ def build_chunk(spec: ExperimentSpec, stepper: str = "batched") -> SweepChunk:
         for ts, f, t, h in zip(systems, faults, treatments, horizons)
     ]
     eligible = [reason is None for reason in reasons]
-
-    vector_idx = [i for i, ok in enumerate(eligible) if ok and stepper != "exact"]
-    vectored = set(vector_idx)
-    exact_idx = [i for i in range(len(systems)) if i not in vectored]
-    # Admission gate + detector plans for the vectorized route: the
-    # exact engine plans (and thereby admission-checks) every treated
-    # system inside ``simulate``, so the batched route runs the same
-    # gate here — identical exception on an identical system — and
-    # hands the surviving plans' detector offsets to the stepper.
+    # Admission control, once per treated point whatever the stepper:
+    # the one plan drives the vectorized stepper and the exact engine
+    # alike.  NO_DETECTION passes the same gate but installs nothing,
+    # so neither route gets a plan (as ``simulate`` does).
     plans: list[TreatmentPlan | None] = [None] * len(systems)
-    for i in vector_idx:
-        kind = treatments[i]
+    for i, kind in enumerate(treatments):
         if kind is not None:
             plan = plan_treatment(systems[i], kind)
             if kind.installs_detectors:
                 plans[i] = plan
-    records: list[tuple[JobRecord, ...] | None] = [None] * len(systems)
-    batch_counts: dict[int, tuple[int, int, int, int, int, int]] = {}
+
+    def _work(idx: list[int]) -> list[Work]:
+        return [(systems[i], horizons[i], faults[i], plans[i]) for i in idx]
+
+    vector_idx = [i for i, ok in enumerate(eligible) if ok and stepper != "exact"]
+    exact_idx = [i for i, ok in enumerate(eligible) if not ok or stepper == "exact"]
+    by_index: dict[int, BatchSystemResult] = {}
+    tails: dict[int, list] = {}
     if vector_idx:
         batched = simulate_batch(
             [systems[i] for i in vector_idx],
@@ -461,119 +464,90 @@ def build_chunk(spec: ExperimentSpec, stepper: str = "batched") -> SweepChunk:
             faults=[faults[i] for i in vector_idx],
             plans=[plans[i] for i in vector_idx],
         )
-        for i, result in zip(vector_idx, batched):
-            records[i] = result.records
-            # Counters straight from the stepper's arrays — no Python
-            # pass over the records.  The stepper-parity suite pins
-            # these equal to _summarize on the same records.
-            batch_counts[i] = (
-                result.released,
-                result.completed,
-                result.misses,
-                result.stopped,
-                result.detections,
-                result.collateral_task_count,
-            )
-    tails: dict[int, list] = {}
+        by_index.update(zip(vector_idx, batched))
     if exact_idx:
-        exact = _exact_fallback(
-            [(systems[i], horizons[i], faults[i], treatments[i]) for i in exact_idx]
-        )
-        for i, (recs, tail) in zip(exact_idx, exact):
-            records[i] = recs
+        for i, (result, tail) in zip(exact_idx, _exact_fallback(_work(exact_idx))):
+            by_index[i] = result
             tails[i] = tail
+    results = [by_index[i] for i in range(len(systems))]
+    fingerprints = [f"{stable_hash(r.records):08x}" for r in results]
 
     cfg = obs_runtime.current()
     flight = cfg.flight if cfg is not None else None
 
-    def _context(ordinal: int, cell: Cell, r: int) -> tuple[tuple[str, Any], ...]:
-        return (
-            ("sweep", sweep.name),
-            ("sweep_hash", sweep.sweep_hash()),
-            ("spec_hash", spec.spec_hash()),
-            ("ordinal", ordinal),
-            ("cell", dict(cell)),
-            ("replicate", r),
+    def _anomaly(
+        i: int, kind: str, detail: str, tail: list, expected: str, observed: str = ""
+    ) -> None:
+        assert flight is not None
+        ordinal, cell, r = points[i]
+        treatment = treatments[i]
+        flight.capture(
+            AnomalyReport(
+                kind=kind,
+                detail=detail,
+                taskset=systems[i],
+                horizon=horizons[i],
+                faults=faults[i],
+                treatment=treatment.value if treatment is not None else None,
+                expected_fingerprint=expected,
+                observed_fingerprint=observed,
+                context=(
+                    ("sweep", sweep.name),
+                    ("sweep_hash", sweep.sweep_hash()),
+                    ("spec_hash", spec.spec_hash()),
+                    ("ordinal", ordinal),
+                    ("cell", dict(cell)),
+                    ("replicate", r),
+                ),
+            ),
+            events=tail,
         )
 
     if stepper == "verify" and vector_idx:
         # The batch-vs-exact check the classifier's contract rests on:
         # every vectorized system re-runs on the real engine; a record
         # fingerprint mismatch is a stepper bug and gets a bundle.
-        verified = _exact_fallback(
-            [(systems[i], horizons[i], faults[i], treatments[i]) for i in vector_idx]
-        )
-        for i, (recs, tail) in zip(vector_idx, verified):
-            batched_fp = f"{stable_hash(records[i]):08x}"
-            exact_fp = f"{stable_hash(recs):08x}"
-            if batched_fp != exact_fp and flight is not None:
-                ordinal, cell, r = points[i]
-                flight.capture(
-                    AnomalyReport(
-                        kind="stepper-divergence",
-                        detail=(
-                            f"vectorized stepper fingerprint {batched_fp} "
-                            f"!= exact engine {exact_fp}"
-                        ),
-                        taskset=systems[i],
-                        horizon=horizons[i],
-                        faults=faults[i],
-                        treatment=(
-                            treatments[i].value if treatments[i] is not None else None
-                        ),
-                        expected_fingerprint=exact_fp,
-                        observed_fingerprint=batched_fp,
-                        context=_context(ordinal, cell, r),
-                    ),
-                    events=tail,
+        for i, (exact, tail) in zip(vector_idx, _exact_fallback(_work(vector_idx))):
+            exact_fp = f"{stable_hash(exact.records):08x}"
+            if exact_fp != fingerprints[i] and flight is not None:
+                _anomaly(
+                    i,
+                    "stepper-divergence",
+                    f"vectorized stepper fingerprint {fingerprints[i]} "
+                    f"!= exact engine {exact_fp}",
+                    tail,
+                    expected=exact_fp,
+                    observed=fingerprints[i],
                 )
 
     out = []
-    for i, (ordinal, cell, r) in enumerate(points):
-        recs = records[i]
-        assert recs is not None
-        if i in batch_counts:
-            rel, done, miss, stop, det, coll = batch_counts[i]
-        else:
-            rel, done, miss, stop, det, coll = _summarize(
-                recs, _faulty_tasks(systems[i], recs, faults[i])
-            )
+    for i, ((ordinal, cell, r), result) in enumerate(zip(points, results)):
         point = PointRecord(
             ordinal=ordinal,
             cell=cell,
             index=r,
             eligible=eligible[i],
-            analysis_feasible=is_feasible(systems[i]),
-            released=rel,
-            completed=done,
-            misses=miss,
-            stopped=stop,
-            detections=det,
-            collateral=coll,
-            fingerprint=f"{stable_hash(recs):08x}",
+            analysis_feasible=feasible[i],
+            released=result.released,
+            completed=result.completed,
+            misses=result.misses,
+            stopped=result.stopped,
+            detections=result.detections,
+            collateral=result.collateral_task_count,
+            fingerprint=fingerprints[i],
         )
         out.append(point)
         if flight is not None and point.analysis_feasible and point.misses > 0:
             # The analysis models declared costs only, so with faults
             # injected this is the expected (and replayable) anomaly;
             # without faults it would be an oracle violation.
-            flight.capture(
-                AnomalyReport(
-                    kind="miss-despite-feasible",
-                    detail=(
-                        f"analysis-feasible system missed {point.misses} "
-                        f"deadline(s) ({point.released} jobs released)"
-                    ),
-                    taskset=systems[i],
-                    horizon=horizons[i],
-                    faults=faults[i],
-                    treatment=(
-                        treatments[i].value if treatments[i] is not None else None
-                    ),
-                    expected_fingerprint=point.fingerprint,
-                    context=_context(ordinal, cell, r),
-                ),
-                events=tails.get(i, []),
+            _anomaly(
+                i,
+                "miss-despite-feasible",
+                f"analysis-feasible system missed {point.misses} "
+                f"deadline(s) ({point.released} jobs released)",
+                tails.get(i, []),
+                expected=point.fingerprint,
             )
 
     if cfg is not None and cfg.metrics is not None:

@@ -96,12 +96,13 @@ _TABLE_FAULTS = (NoFaults, FaultInjector, RandomFaults)
 
 @dataclass(frozen=True)
 class BatchSystemResult:
-    """One system's outcome from the vectorized stepper.
+    """One system's outcome, whichever route produced it.
 
-    The counters are aggregated from the same arrays the records come
-    from (prefix sums, not a Python pass over the tuples), so
-    consumers on the hot path never re-iterate millions of records;
-    the stepper-parity suite pins them equal to the exact engine's."""
+    The vectorized stepper aggregates the counters from the same arrays
+    the records come from (prefix sums, not a Python pass over the
+    tuples), so consumers on the hot path never re-iterate millions of
+    records; :meth:`from_exact` derives them from an exact-engine run.
+    The stepper-parity suite pins the two equal."""
 
     horizon: int
     records: tuple[JobRecord, ...]
@@ -120,6 +121,37 @@ class BatchSystemResult:
     #: Failed tasks that were *not* themselves granted extra demand —
     #: the paper's collateral-failure count (failed minus faulty).
     collateral_task_count: int
+
+    @classmethod
+    def from_exact(
+        cls, result: SimResult, faults: FaultModel | None = None
+    ) -> "BatchSystemResult":
+        """The same result from an exact-engine run of *result.taskset*
+        under *faults*."""
+        records = sim_job_records(result)
+        failed = {r[0] for r in records if r[4] or r[5]}
+        # A task is *faulty* when any of its released jobs was granted
+        # demand above the declared cost (the paper's definition), as
+        # the fault model itself answers it.
+        faulty: set[str] = set()
+        if faults is not None:
+            costs = {t.name: t.cost for t in result.taskset}
+            faulty = {
+                name
+                for name, k, *_ in records
+                if faults.demand(name, k, costs[name]) > costs[name]
+            }
+        return cls(
+            horizon=result.horizon,
+            records=records,
+            released=len(records),
+            completed=sum(1 for r in records if r[3] >= 0 and not r[5]),
+            misses=sum(1 for r in records if r[4]),
+            stopped=sum(1 for r in records if r[5]),
+            detections=sum(1 for r in records if r[6]),
+            failed_task_count=len(failed),
+            collateral_task_count=len(failed - faulty),
+        )
 
 
 def classify(

@@ -80,6 +80,36 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=match):
             SweepSpec.make(**base)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"treatment": "bogus", "feasible_only": True}, "treatment='bogus': unknown treatment"),
+            ({"axes": {"treatment": ("skip-job", "bogus")}, "feasible_only": True}, "treatment='bogus'"),
+            ({"fault_rate": 1.5}, r"fault_rate=1\.5: must be in \[0, 1\]"),
+            ({"axes": {"fault_rate": (0.2, -0.1)}}, r"fault_rate=-0\.1"),
+            ({"axes": {"utilization": (0.5, 1.5)}}, r"utilization=1\.5: utilization must be"),
+            ({"axes": {"n": (3, 0)}}, "n=0: n must be >= 1"),
+            ({"axes": {"deadline_factor": (0,)}}, "deadline_factor=0: deadline factor"),
+            ({"axes": {"n": ("three",)}}, "n='three'"),
+            ({"treatment": "immediate-stop"}, "treatment needs feasible_only=True"),
+            ({"axes": {"treatment": (None, "detect-only")}}, "treatment needs feasible_only=True"),
+        ],
+    )
+    def test_bad_values_fail_fast_on_one_line(self, kwargs, match):
+        """Rejected at construction — before any chunk runs — with a
+        one-line message naming the field."""
+        base = dict(name="s", axes={"n": (2,)})
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=match) as err:
+            SweepSpec.make(**base)
+        assert "\n" not in str(err.value)
+
+    def test_swept_axis_overrides_a_bad_default(self):
+        """Only values a point can take are checked: a swept axis makes
+        the field default irrelevant."""
+        SweepSpec.make(name="s", axes={"treatment": (None,)}, treatment="immediate-stop")
+        SweepSpec.make(name="s", axes={"utilization": (0.5,)}, utilization=2.0)
+
     def test_duplicate_axis_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SweepSpec(name="s", axes=(("n", (2,)), ("n", (3,))))
@@ -215,3 +245,171 @@ class TestSummaries:
         assert batched.points == exact.points
         assert batched.fingerprint() == exact.fingerprint()
         assert sum(p.detections for p in batched.points) > 0
+
+
+def treated_sweep(**overrides) -> SweepSpec:
+    """Faults under every batched treatment, on feasible systems."""
+    kwargs = dict(
+        axes={
+            "fault_rate": (0.4,),
+            "treatment": ("immediate-stop", "equitable-allowance", "detect-only", "no-detection"),
+        },
+        replicates=4,
+        fault_scale=1.0,
+        feasible_only=True,
+        utilization=0.6,
+        n=3,
+    )
+    kwargs.update(overrides)
+    return small_sweep(**kwargs)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so calls are counted; returns the counter."""
+    calls = {"n": 0}
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneDecisionPerPoint:
+    """Admission, planning and the record's analysis run once per point
+    whatever the stepper — the exact engine reuses the chunk's plan."""
+
+    @pytest.mark.parametrize("stepper", ["batched", "exact", "verify"])
+    def test_one_plan_per_treated_point(self, monkeypatch, stepper):
+        import repro.exec.sweep as sweep_mod
+        import repro.sim.simulation as simulation
+
+        planned = _counting(monkeypatch, sweep_mod, "plan_treatment")
+
+        def no_replan(*args, **kwargs):
+            raise AssertionError("simulate() planned a sweep point again")
+
+        monkeypatch.setattr(simulation, "plan_treatment", no_replan)
+        sweep = treated_sweep()
+        run_sweep(sweep, executor=LocalExecutor(), stepper=stepper)
+        assert planned["n"] == sweep.total_points
+
+    def test_untreated_points_are_not_planned(self, monkeypatch):
+        import repro.exec.sweep as sweep_mod
+
+        planned = _counting(monkeypatch, sweep_mod, "plan_treatment")
+        run_sweep(small_sweep(), executor=LocalExecutor(), stepper="exact")
+        assert planned["n"] == 0
+
+    def test_feasible_only_sweep_reuses_the_filter_verdict(self, monkeypatch):
+        import repro.exec.sweep as sweep_mod
+
+        analysed = _counting(monkeypatch, sweep_mod, "is_feasible")
+        result = run_sweep(treated_sweep(), executor=LocalExecutor())
+        assert analysed["n"] == 0
+        assert all(p.analysis_feasible for p in result.points)
+
+    def test_unfiltered_sweep_analyses_each_point_once(self, monkeypatch):
+        import repro.exec.sweep as sweep_mod
+
+        analysed = _counting(monkeypatch, sweep_mod, "is_feasible")
+        sweep = small_sweep()
+        run_sweep(sweep, executor=LocalExecutor())
+        assert analysed["n"] == sweep.total_points
+
+    def test_no_detection_equals_the_untreated_run(self):
+        """NO_DETECTION passes admission and installs nothing: its
+        points match the untreated sweep's on every stepper."""
+        untreated = treated_sweep(axes={"fault_rate": (0.4,)})
+        base = run_sweep(untreated, executor=LocalExecutor()).points
+        for stepper in ("batched", "exact"):
+            treated = run_sweep(
+                treated_sweep(axes={"fault_rate": (0.4,), "treatment": ("no-detection",)}),
+                executor=LocalExecutor(),
+                stepper=stepper,
+            ).points
+            assert [dataclasses.replace(p, cell=()) for p in treated] == [
+                dataclasses.replace(p, cell=()) for p in base
+            ]
+
+
+def _bundle_kinds(executor) -> list[str]:
+    from repro.obs.flight import load_bundle
+
+    return [load_bundle(path)["kind"] for path in executor.telemetry.flight_bundles]
+
+
+class TestVerifyStepper:
+    """``--stepper verify``: batched points, plus an exact re-run of
+    every vectorized point that bundles any fingerprint mismatch."""
+
+    def _executor(self, tmp_path):
+        from repro.obs.runtime import WorkerObs
+
+        return LocalExecutor(worker_obs=WorkerObs(telemetry=True, flight_dir=str(tmp_path)))
+
+    def test_verify_equals_batched_with_zero_divergence_bundles(self, tmp_path):
+        sweep = treated_sweep()
+        batched = run_sweep(sweep, executor=LocalExecutor())
+        executor = self._executor(tmp_path)
+        verified = run_sweep(sweep, executor=executor, stepper="verify")
+        assert verified.points == batched.points
+        assert verified.fingerprint() == batched.fingerprint()
+        assert sum(p.stopped for p in verified.points) > 0
+        assert "stepper-divergence" not in _bundle_kinds(executor)
+
+    def test_a_diverging_record_writes_exactly_one_bundle(self, tmp_path, monkeypatch):
+        import repro.exec.sweep as sweep_mod
+
+        original = sweep_mod.simulate_batch
+        tampered = {"done": False}
+
+        def diverging(*args, **kwargs):
+            results = original(*args, **kwargs)
+            if not tampered["done"]:
+                tampered["done"] = True
+                first = results[0]
+                results[0] = dataclasses.replace(first, records=first.records[:-1])
+            return results
+
+        monkeypatch.setattr(sweep_mod, "simulate_batch", diverging)
+        executor = self._executor(tmp_path)
+        run_sweep(treated_sweep(), executor=executor, stepper="verify")
+        assert _bundle_kinds(executor).count("stepper-divergence") == 1
+
+
+class TestWeaklyHardRoutes:
+    """``SweepSpec.mk`` with the treatments the stepper does not model:
+    every point takes the exact route under the chunk's single plan,
+    and the fallback counters name why."""
+
+    TREATMENTS = ("skip-job", "degrade", "miss-budget", "system-allowance")
+
+    def _sweep(self) -> SweepSpec:
+        return treated_sweep(
+            axes={"fault_rate": (0.4,), "treatment": self.TREATMENTS},
+            replicates=3,
+            mk=(1, 3),
+            utilization=0.8,
+        )
+
+    def test_steppers_agree_and_every_point_falls_back(self):
+        from repro.obs.runtime import WorkerObs
+
+        sweep = self._sweep()
+        executor = LocalExecutor(worker_obs=WorkerObs(telemetry=True))
+        batched = run_sweep(sweep, executor=executor)
+        exact = run_sweep(sweep, executor=LocalExecutor(), stepper="exact")
+        verify = run_sweep(sweep, executor=LocalExecutor(), stepper="verify")
+        assert batched.points == exact.points == verify.points
+        assert batched.fingerprint() == exact.fingerprint() == verify.fingerprint()
+        assert not any(p.eligible for p in batched.points)
+        counters = executor.telemetry.counter_map()
+        per_kind = sweep.replicates
+        assert counters["sweep_points_exact_total"] == sweep.total_points
+        assert counters.get("sweep_points_batched_total", 0) == 0
+        assert counters["sweep_fallback_total{reason=weakly-hard-treatment}"] == 3 * per_kind
+        assert counters["sweep_fallback_total{reason=system-allowance}"] == per_kind
+        assert sum(p.misses + p.stopped for p in batched.points) > 0

@@ -26,6 +26,7 @@ from repro.core.treatments import TreatmentKind, plan_treatment
 from repro.exec.sim import run_simulation
 from repro.rng import derive_rng
 from repro.sim.batch import (
+    BatchSystemResult,
     _trivial_faults,
     classify,
     schedule_fingerprint,
@@ -85,6 +86,7 @@ def assert_parity(ts: TaskSet, horizon: int, faults=None, treatment=None):
     failed = {r[0] for r in exact if r[4] or r[5]}
     assert b.failed_task_count == len(failed)
     assert b.collateral_task_count == len(failed - faulty)
+    assert BatchSystemResult.from_exact(result, faults) == b
     return b
 
 
