@@ -152,6 +152,16 @@ class SweepSpec:
             raise ValueError("horizon_periods must be >= 1")
         if self.mk is not None:
             MKConstraint(*self.mk)  # validates 1 <= K, 0 <= m <= K
+        periods = dict(
+            period_lo=self.period_lo,
+            period_hi=self.period_hi,
+            period_granularity=self.period_granularity,
+        )
+        try:
+            PopulationConfig(**periods)
+        except (TypeError, ValueError) as err:
+            fields = ", ".join(f"{k}={v!r}" for k, v in periods.items())
+            raise ValueError(f"sweep {fields}: {err}") from None
         # Every value a point can take per axis — the grid's when swept,
         # the field default otherwise — is checked here, so a bad spec
         # fails before its first chunk rather than inside it.

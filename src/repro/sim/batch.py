@@ -1,30 +1,27 @@
-"""Vectorized lock-step simulation of task-system *populations*.
+"""Vectorized simulation of task-system *populations*.
 
 The paper's claims are per-system; evaluating them over populations
 (thousands of generated systems swept across utilization, task count
 and fault rate) makes per-system event loops the bottleneck.  This
-module adds a numpy stepper that advances hundreds of independent
+module adds a numpy stepper that solves hundreds of independent
 systems at once for the cases the sweeps hit most — preemptive
 fixed-priority, periodic releases, no locks, no servers, zero
 context-switch cost — including the paper's core workload: injected
 cost overruns with detector-based treatments:
 
-* state is a handful of ``(systems, tasks)`` int64 arrays
-  (``next_release``, head-job ``remaining``, released/done counters)
-  plus a flat per-job *demand* table precomputed from the fault model
+* the inputs are a handful of ``(systems, tasks)`` int64 arrays plus a
+  flat per-job *demand* table precomputed from the fault model
   (bit-for-bit the values the exact engine draws, since both sides
   evaluate the same ``RandomFaults`` counter hash);
-* each step advances every system to its *own* next event instant
-  (completion, detector stop or release) and applies all simultaneous
-  events in the engine's rank order — completions, then detector
-  stops, then releases (:class:`repro.sim.engine.Rank` semantics,
-  reproduced in closed form);
+* the schedule is solved one priority level at a time, the view of the
+  paper's busy-window analysis: a level's jobs run in the processor
+  time the levels above it leave free, so each job's end is a closed
+  form of its release, its demand, its detector instant and its
+  predecessor's end (:func:`_level_pass`).  Only release, completion
+  and stop instants are ever evaluated — there is no per-event loop;
 * a stopping treatment (§4.1 immediate stop, §4.2 equitable allowance)
-  contributes one pending stop instant per task: ``release + offset``
-  of the *head* job's detector.  Only head jobs can be stopped — the
-  previous job of the same thread always ends at or before its own
-  detector instant, which precedes the next job's — so a single
-  per-column stop time is exact, not an approximation;
+  cuts a job at ``release + offset`` of its detector unless it
+  completes by then, also when it waited behind its predecessor;
 * deadline misses and detect-only detections are evaluated in closed
   form afterwards: a released job missed iff its absolute deadline
   lies within the horizon and it did not finish by then — where a job
@@ -69,6 +66,7 @@ from repro.sim.simulation import SimResult
 from repro.sim.vm import EXACT_VM, NoOverhead, VMProfile
 
 __all__ = [
+    "HORIZON_LIMIT",
     "JobRecord",
     "BatchSystemResult",
     "classify",
@@ -83,8 +81,11 @@ __all__ = [
 #: hash a sorted tuple of these.
 JobRecord = tuple[str, int, int, int, bool, bool, bool]
 
-#: Sentinel "no pending event" instant (far beyond any horizon).
-_INF = np.int64(1 << 62)
+#: Largest horizon the stepper accepts.  Every instant the level pass
+#: forms stays below ``2 * horizon + 5`` and so within int64; longer
+#: runs take the exact engine (:func:`classify` reason
+#: ``horizon-beyond-int64``).
+HORIZON_LIMIT = 1 << 61
 
 #: Fault models the stepper can expand into a per-job demand table:
 #: their draws are keyed per ``(task, job)`` (order-independent), so
@@ -189,12 +190,15 @@ def classify(
       on engine event order (round-UP and exact timers cannot);
     * ``zero-detector-offset`` — an explicit plan that already did;
     * ``context-switch-cost`` / ``sporadic-arrivals`` /
-      ``critical-sections`` / ``duplicate-priorities`` — as before.
+      ``critical-sections`` / ``duplicate-priorities`` — as before;
+    * ``horizon-beyond-int64`` — a *horizon* past :data:`HORIZON_LIMIT`.
 
-    *horizon*, when given, lets a :class:`FaultInjector` whose
+    *horizon*, when given, also lets a :class:`FaultInjector` whose
     deviations all target jobs released after the horizon count as
     trivial (they cannot influence the schedule).
     """
+    if horizon is not None and horizon > HORIZON_LIMIT:
+        return "horizon-beyond-int64"
     if faults is not None and not _trivial_faults(faults, taskset, horizon):
         if not isinstance(faults, _TABLE_FAULTS):
             return "opaque-fault-model"
@@ -251,14 +255,6 @@ def _trivial_faults(
     return False
 
 
-#: Systems stepped together.  Lock-step cost per bucket is
-#: ``max(event count) x per-iteration overhead``, so buckets are filled
-#: with event-count-sorted systems: heterogeneous populations (wide
-#: log-uniform periods) then pay the busy systems' iteration count only
-#: for the buckets that contain them, not for everyone.
-_BUCKET = 512
-
-
 def simulate_batch(
     systems: Sequence[TaskSet],
     horizons: Sequence[int],
@@ -270,12 +266,12 @@ def simulate_batch(
 
     *faults* and *plans* (when given) align with *systems*: the fault
     model supplying per-job demands and the treatment plan supplying
-    detector offsets of each system.  Systems are stepped in
-    event-count-sorted buckets (an internal layout choice — every
-    system is independent, so results are identical to any other
-    grouping).  Callers must have routed each system through
-    :func:`classify` first; the only checks repeated here are the cheap
-    ones (everything else is configuration the stepper never sees).
+    detector offsets of each system.  Every system is solved level by
+    level (see :func:`_level_pass`); the cost is linear in the jobs
+    released, whatever the mix of systems.  Callers must have routed
+    each system through :func:`classify` first; the only checks repeated
+    here are the cheap ones (everything else is configuration the
+    stepper never sees).
     """
     if len(systems) != len(horizons):
         raise ValueError("need one horizon per system")
@@ -285,7 +281,11 @@ def simulate_batch(
         raise ValueError("faults/plans must align with systems")
     if not systems:
         return []
-    for ts, fm, plan in zip(systems, fault_list, plan_list):
+    for ts, fm, plan, h in zip(systems, fault_list, plan_list, horizons):
+        if h <= 0:
+            raise ValueError("horizon must be > 0")
+        if h > HORIZON_LIMIT:
+            raise ValueError(f"horizon {h} exceeds the stepper's limit {HORIZON_LIMIT}")
         prios = [t.priority for t in ts]
         if len(set(prios)) != len(prios):
             raise ValueError("duplicate priorities: classify() should have rejected this system")
@@ -293,31 +293,16 @@ def simulate_batch(
             raise ValueError("opaque fault model: classify() should have rejected this system")
         if plan is not None and plan.kind is TreatmentKind.SYSTEM_ALLOWANCE:
             raise ValueError("system allowance: classify() should have rejected this system")
-    if len(systems) <= _BUCKET:
-        return _step_lockstep(systems, list(horizons), fault_list, plan_list)
-    weights = [
-        sum(
-            (h - t.offset) // t.period + 1
-            for t in ts
-            if t.offset <= h
-        )
-        for ts, h in zip(systems, horizons)
-    ]
-    order = sorted(range(len(systems)), key=lambda i: (weights[i], i))
-    results: list[BatchSystemResult | None] = [None] * len(systems)
-    for lo in range(0, len(order), _BUCKET):
-        idx = order[lo : lo + _BUCKET]
-        for i, res in zip(
-            idx,
-            _step_lockstep(
-                [systems[i] for i in idx],
-                [horizons[i] for i in idx],
-                [fault_list[i] for i in idx],
-                [plan_list[i] for i in idx],
-            ),
-        ):
-            results[i] = res
-    return [r for r in results if r is not None]
+    # The level pass keys (system, instant) pairs as ``system * stride +
+    # instant`` with ``stride = horizon + 2``; a batch whose keys would
+    # not fit in int64 runs in slabs that do (at least three systems
+    # each, since horizons stay within HORIZON_LIMIT).
+    slab = np.iinfo(np.int64).max // (max(horizons) + 2)
+    results: list[BatchSystemResult] = []
+    for lo in range(0, len(systems), slab):
+        hi = lo + slab
+        results += _simulate(systems[lo:hi], horizons[lo:hi], fault_list[lo:hi], plan_list[lo:hi])
+    return results
 
 
 def _demand_table(
@@ -387,33 +372,33 @@ def _demand_table(
     return demand_flat
 
 
-def _step_lockstep(
+def _simulate(
     systems: Sequence[TaskSet],
     horizons: Sequence[int],
     fault_list: Sequence[FaultModel | None],
     plan_list: Sequence[TreatmentPlan | None],
 ) -> list[BatchSystemResult]:
-    """One lock-step pass over *systems* (see :func:`simulate_batch`)."""
+    """One vectorized pass over *systems* (see :func:`simulate_batch`)."""
     count = len(systems)
     width = max(len(ts) for ts in systems)
 
     # Padded (systems, tasks) parameter arrays; tasks come priority-
-    # sorted out of TaskSet, so column order IS dispatch order and the
-    # running task of a system is its first column with backlog.
+    # sorted out of TaskSet, so column order IS priority order.
     cost = np.zeros((count, width), dtype=np.int64)
     period = np.ones((count, width), dtype=np.int64)
     deadline = np.zeros((count, width), dtype=np.int64)
     offset = np.zeros((count, width), dtype=np.int64)
     valid = np.zeros((count, width), dtype=bool)
     horizon = np.asarray(list(horizons), dtype=np.int64)[:, None]
-    if np.any(horizon <= 0):
-        raise ValueError("horizon must be > 0")
     for s, ts in enumerate(systems):
+        # Past horizon + 1 a period, deadline or offset changes nothing
+        # observable; clipping keeps their sums within int64.
+        never = int(horizons[s]) + 1
         for i, task in enumerate(ts):
             cost[s, i] = task.cost
-            period[s, i] = task.period
-            deadline[s, i] = task.deadline
-            offset[s, i] = task.offset
+            period[s, i] = min(task.period, never)
+            deadline[s, i] = min(task.deadline, never)
+            offset[s, i] = min(task.offset, never)
             valid[s, i] = True
 
     # Per-(system, task) job counts over the horizon (the engine only
@@ -424,127 +409,33 @@ def _step_lockstep(
     counts_flat = counts.reshape(-1)
     job_base = np.concatenate(([0], np.cumsum(counts_flat)[:-1])).reshape(count, width)
     total_jobs = int(counts_flat.sum())
-    finished = np.full(total_jobs, -1, dtype=np.int64)
-    stopped = np.zeros(total_jobs, dtype=bool)
-    detected = np.zeros(total_jobs, dtype=bool)
+    ks = np.arange(total_jobs, dtype=np.int64) - np.repeat(job_base.reshape(-1), counts_flat)
+    rel_flat = np.repeat(offset.reshape(-1), counts_flat) + ks * np.repeat(
+        period.reshape(-1), counts_flat
+    )
 
     # Fault model → flat per-job demand table (bit-exact draws).
     demand_flat = _demand_table(systems, fault_list, cost, counts, job_base, counts_flat)
 
-    # Treatment plans → per-task detector offsets and per-system mode
-    # flags.  Stopping kinds feed the event loop (a stop cancels the
-    # head job's remaining demand); detect-only is schedule-neutral and
-    # resolved in closed form after the loop.
-    det = np.full((count, width), _INF, dtype=np.int64)
-    stops_on = np.zeros(count, dtype=bool)
-    detect_only = np.zeros(count, dtype=bool)
+    # Treatment plans → per-task detector offsets, clipped to horizon +
+    # 1 (a later instant is never observed).  Stopping kinds cut jobs in
+    # the level pass; detect-only is schedule-neutral and resolved in
+    # closed form after it.
+    hbc = np.broadcast_to(horizon, (count, width))
+    stop_after, detect_after = hbc + 1, hbc + 1
     for s, plan in enumerate(plan_list):
         if plan is None or plan.kind is TreatmentKind.NO_DETECTION:
             continue
-        if plan.kind.stops_tasks:
-            stops_on[s] = True
-        else:
-            detect_only[s] = True
+        after = stop_after if plan.kind.stops_tasks else detect_after
         for c, task in enumerate(systems[s]):
             spec = plan.detector_for(task.name)
             if spec is not None:
-                det[s, c] = spec.offset
-    has_stops = bool(stops_on.any())
-
-    # Mutable stepper state.
-    next_rel = np.where(valid & (offset <= horizon), offset, _INF)
-    released = np.zeros((count, width), dtype=np.int64)
-    done = np.zeros((count, width), dtype=np.int64)
-    head_rem = np.zeros((count, width), dtype=np.int64)
-    now = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
-
-    horizon1 = horizon[:, 0]
-    hbc = np.broadcast_to(horizon, (count, width))
-    last_slot = max(total_jobs - 1, 0)
-    while True:
-        active = released > done
-        any_active = active.any(axis=1)
-        run_idx = np.argmax(active, axis=1)  # first backlogged column = running task
-        t_complete = now + head_rem[rows, run_idx]
-        t_complete[~any_active] = _INF
-        t_next = np.minimum(t_complete, next_rel.min(axis=1))
-        if has_stops:
-            # Pending stop instant per column: the *head* job's detector
-            # (release + offset).  Newly activated heads always have
-            # stop instants strictly in the future (or beyond the
-            # horizon), so one instant per column covers every job.
-            stop_at = np.where(
-                active & stops_on[:, None],
-                offset + done * period + det,
-                _INF,
-            )
-            t_next = np.minimum(t_next, stop_at.min(axis=1))
-        live = t_next <= horizon1
-        if not live.any():
-            break
-        # Mask finished systems out of every instant comparison below
-        # (no event time is negative, so -1 matches nothing).
-        t_next[~live] = -1
-        # Charge the running head for the interval it just executed.
-        charge = live & any_active
-        head_rem[rows[charge], run_idx[charge]] -= (t_next - now)[charge]
-        now[live] = t_next[live]
-        # Completions first (Rank.COMPLETION precedes everything): the
-        # head job ends, and the next backlogged job of the same thread
-        # — if any — becomes the head immediately, within this instant.
-        comp = charge & (t_complete == t_next)
-        if comp.any():
-            cr, cc = rows[comp], run_idx[comp]
-            finished[job_base[cr, cc] + done[cr, cc]] = t_next[comp]
-            done[cr, cc] += 1
-            # Backlog head activation: the next job's own demand (the
-            # clipped gather is a no-op write when the column idles).
-            slot = np.minimum(job_base[cr, cc] + done[cr, cc], last_slot)
-            head_rem[cr, cc] = demand_flat[slot]
-        # Detector stops next (Rank.STOP/DETECTOR precede RELEASE): any
-        # head whose detector instant is now and that did not complete
-        # at this instant ends as stopped-and-detected.  Heads freshly
-        # activated by a completion above never match (their detector
-        # instants are strictly later), mirroring the engine where a
-        # detector only ever fires for the job it was armed with.
-        if has_stops:
-            stop_hit = (
-                stops_on[:, None]
-                & (released > done)
-                & (offset + done * period + det == t_next[:, None])
-            )
-            if stop_hit.any():
-                sr, sc = np.nonzero(stop_hit)
-                slot = job_base[sr, sc] + done[sr, sc]
-                finished[slot] = t_next[sr]
-                stopped[slot] = True
-                detected[slot] = True
-                done[sr, sc] += 1
-                nxt = np.minimum(job_base[sr, sc] + done[sr, sc], last_slot)
-                head_rem[sr, sc] = demand_flat[nxt]
-        # Then releases: every task whose next release is this instant.
-        rel = next_rel == t_next[:, None]
-        if rel.any():
-            was_idle = released == done
-            released[rel] += 1
-            fresh = rel & was_idle
-            if fresh.any():
-                fr, fc = np.nonzero(fresh)
-                head_rem[fr, fc] = demand_flat[job_base[fr, fc] + done[fr, fc]]
-            nxt = next_rel[rel] + period[rel]
-            next_rel[rel] = np.where(nxt <= hbc[rel], nxt, _INF)
-
-    if not np.array_equal(released, counts):  # pragma: no cover - invariant
-        raise AssertionError("stepper released a different job set than the closed form")
+                after[s, c] = min(spec.offset, int(after[s, c]))
+    finished, stopped = _level_pass(
+        counts, job_base, rel_flat, demand_flat, stop_after, horizon[:, 0]
+    )
 
     # Closed-form per-job outcomes over the flat slots.
-    ks = np.arange(total_jobs, dtype=np.int64) - np.repeat(
-        job_base.reshape(-1), counts_flat
-    )
-    rel_flat = np.repeat(offset.reshape(-1), counts_flat) + ks * np.repeat(
-        period.reshape(-1), counts_flat
-    )
     dl_flat = rel_flat + np.repeat(deadline.reshape(-1), counts_flat)
     hz_flat = np.repeat(hbc.reshape(-1), counts_flat)
     # A job stopped exactly at its deadline still misses: the engine
@@ -557,45 +448,27 @@ def _step_lockstep(
     # Detect-only detections in closed form: the detector at
     # release+offset flags the job iff it had not finished by then
     # (the schedule itself is identical to the untreated run).
-    if detect_only.any():
-        det_off = np.repeat(
-            np.where(detect_only[:, None], det, _INF).reshape(-1), counts_flat
-        )
-        det_at = rel_flat + det_off
-        detected |= (det_at <= hz_flat) & ((finished < 0) | (finished > det_at))
+    det_at = rel_flat + np.repeat(detect_after.reshape(-1), counts_flat)
+    detected = stopped | ((det_at <= hz_flat) & ((finished < 0) | (finished > det_at)))
 
-    # Per-system / per-task aggregates at C speed: prefix sums over the
-    # contiguous flat job segments (exact for empty segments, e.g. a
-    # task whose offset lies beyond the horizon) — the counters
+    # Per-task / per-system aggregates at C speed — the counters
     # consumers read instead of re-iterating the record tuples.
     jobs_per_sys = counts.sum(axis=1)
-    sys_starts = np.concatenate(([0], np.cumsum(jobs_per_sys)[:-1]))
-    sys_ends = sys_starts + jobs_per_sys
-    cum_completed = np.concatenate(([0], np.cumsum((finished >= 0) & ~stopped)))
-    cum_missed = np.concatenate(([0], np.cumsum(missed)))
-    cum_stopped = np.concatenate(([0], np.cumsum(stopped)))
-    cum_detected = np.concatenate(([0], np.cumsum(detected)))
-    sys_completed = cum_completed[sys_ends] - cum_completed[sys_starts]
-    sys_missed = cum_missed[sys_ends] - cum_missed[sys_starts]
-    sys_stopped = cum_stopped[sys_ends] - cum_stopped[sys_starts]
-    sys_detected = cum_detected[sys_ends] - cum_detected[sys_starts]
-    flat_starts = job_base.reshape(-1)
-    flat_ends = flat_starts + counts_flat
-    cum_failed = np.concatenate(([0], np.cumsum(missed | stopped)))
-    task_failed = (cum_failed[flat_ends] - cum_failed[flat_starts]).reshape(
-        count, width
-    ) > 0
+    sys_completed = _per_task(job_base, counts, (finished >= 0) & ~stopped).sum(axis=1)
+    sys_missed = _per_task(job_base, counts, missed).sum(axis=1)
+    sys_stopped = _per_task(job_base, counts, stopped).sum(axis=1)
+    sys_detected = _per_task(job_base, counts, detected).sum(axis=1)
+    task_failed = _per_task(job_base, counts, missed | stopped) > 0
     # A task is *faulty* when any of its released jobs was granted
     # demand above the declared cost (the paper's definition); failed
     # tasks that are not faulty are collateral damage.
-    cum_faulty = np.concatenate(
-        ([0], np.cumsum(demand_flat > np.repeat(cost.reshape(-1), counts_flat)))
-    )
-    task_faulty = (cum_faulty[flat_ends] - cum_faulty[flat_starts]).reshape(
-        count, width
-    ) > 0
+    faulty = demand_flat > np.repeat(cost.reshape(-1), counts_flat)
+    task_faulty = _per_task(job_base, counts, faulty) > 0
     failed_tasks = task_failed.sum(axis=1)
     collateral_tasks = (task_failed & ~task_faulty).sum(axis=1)
+    # The record tuples and their column lists are the pass's memory
+    # peak: drop the per-job arrays no record needs first.
+    del demand_flat, faulty, dl_flat, hz_flat, det_at
 
     results: list[BatchSystemResult] = []
     ks_l = ks.tolist()
@@ -637,6 +510,130 @@ def _step_lockstep(
             )
         )
     return results
+
+
+def _per_task(job_base: np.ndarray, counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``(systems, tasks)`` counts of the set flat slots in *mask*: prefix
+    sums over the contiguous per-task job segments (exact for empty
+    segments, e.g. a task whose offset lies beyond the horizon)."""
+    cum = np.concatenate(([0], np.cumsum(mask)))
+    return cum[job_base + counts] - cum[job_base]
+
+
+def _level_pass(
+    counts: np.ndarray,
+    job_base: np.ndarray,
+    rel: np.ndarray,
+    demand: np.ndarray,
+    stop_after: np.ndarray,
+    horizon: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(finished, stopped)`` over the flat job slots, solved one
+    priority level (task column) at a time (DESIGN.md §3.10).
+
+    Level c sees the CPU through its *supply* ``S_c(t)``, the time in
+    ``[0, t)`` the levels above leave free.  In supply units job k runs
+    in ``[A_k, E_k)``, ``A_k = max(E_{k-1}, S_c(r_k))``, ``E_k =
+    min(A_k + d_k, S_c(stop_k))`` with ``stop_k = r_k + stop_after``:
+    a completion wins a tie with its detector, and happens at the first
+    instant the supply reaches ``A_k + d_k``.  The steps are maps ``x ->
+    min(max(x + d, lo), hi)``, closed under composition, so a segmented
+    prefix scan gives every ``E_k``.  Removing the windows from ``S_c``
+    gives ``S_{c+1}``."""
+    count, width = counts.shape
+    # Keys and caps: every instant below is at most horizon + 1 < stride.
+    stride = int(horizon.max()) + 2
+    finished = np.full(rel.size, -1, dtype=np.int64)
+    stopped = np.zeros(rel.size, dtype=bool)
+    above: list[_Level] = []
+    for c in range(width):
+        n = counts[:, c]
+        s = np.repeat(np.arange(count), n)
+        if s.size == 0:
+            continue
+        k = np.arange(s.size) - np.repeat(np.cumsum(n) - n, n)
+        idx = job_base[s, c] + k
+        h = horizon[s]
+        r = rel[idx]
+        stop = np.minimum(r + stop_after[s, c], h + 1)
+        # Supply at every release and detector instant, through the
+        # levels above.
+        at_release, at_stop = r, stop
+        for level in above:
+            at_release = level.free(s, at_release)
+            at_stop = level.free(s, at_stop)
+        # A demand of stride or more never completes: capping demands
+        # and their sums there keeps every sum below within int64.
+        d = np.minimum(demand[idx], stride)
+        shift, lo, hi = d.copy(), np.minimum(at_release + d, at_stop), at_stop.copy()
+        step = 1
+        while step < n.max():
+            # Compose each job's map after the one `step` jobs earlier
+            # in the same task (Hillis-Steele scan, one task a segment).
+            by, lo_l, hi_l = shift[step:], lo[step:], hi[step:]
+            new_shift = np.minimum(shift[:-step] + by, stride)
+            new_lo = np.clip(lo[:-step] + by, lo_l, hi_l)
+            new_hi = np.clip(hi[:-step] + by, lo_l, hi_l)
+            same_task = k[step:] >= step
+            np.copyto(lo_l, new_lo, where=same_task)
+            np.copyto(hi_l, new_hi, where=same_task)
+            np.copyto(by, new_shift, where=same_task)
+            step *= 2
+        end = np.minimum(np.maximum(shift, lo), hi)
+        start = np.concatenate(([0], end[:-1]))
+        start[k == 0] = 0
+        np.maximum(start, at_release, out=start)
+        reach = start + d
+        done = reach <= at_stop
+        at = reach[done]
+        for level in reversed(above):
+            at = level.first(s[done], at)
+        finished[idx[done]] = np.where(at <= h[done], at, -1)
+        cut = ~done & (stop <= h)
+        finished[idx[cut]] = stop[cut]
+        stopped[idx[cut]] = True
+        if c + 1 < width:
+            above.append(_Level(s, start, end, stride, count))
+    return finished, stopped
+
+
+class _Level:
+    """One level's busy windows ``[start, end)``, in its own supply
+    units, as the map from its supply to the supply of the level below.
+
+    Windows of all systems share one sorted int64 key space,
+    ``system * stride + instant``, so each map is one ``searchsorted``
+    over the batch."""
+
+    def __init__(
+        self, sys_: np.ndarray, start: np.ndarray, end: np.ndarray, stride: int, count: int
+    ) -> None:
+        self.stride = stride
+        key = sys_ * stride
+        #: Busy supply before each window, and before each system's first.
+        self.busy = np.concatenate(([0], np.cumsum(end - start)))
+        self.busy_base = self.busy[np.searchsorted(sys_, np.arange(count))]
+        self.key_start = key + start
+        # Shifted by one (``key_end[i]`` ends window ``i - 1``); the
+        # leading 0 never exceeds a query key.
+        self.key_end = np.concatenate(([0], key + end))
+        #: Supply left to the level below when each window starts.
+        self.key_free = self.key_start - (self.busy[:-1] - self.busy_base[sys_])
+
+    def free(self, sys_: np.ndarray, supply: np.ndarray) -> np.ndarray:
+        """The supply left below this level at this level's *supply*."""
+        key = sys_ * self.stride + supply
+        i = np.searchsorted(self.key_start, key)
+        # Windows starting before *supply*, less the part of the last
+        # one still ahead of it (only ever in the same system).
+        busy = self.busy[i] - self.busy_base[sys_] - np.maximum(self.key_end[i] - key, 0)
+        return supply - busy
+
+    def first(self, sys_: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """The least supply of this level at which :meth:`free` reaches
+        *free*."""
+        i = np.searchsorted(self.key_free, sys_ * self.stride + free)
+        return free + self.busy[i] - self.busy_base[sys_]
 
 
 def sim_job_records(result: SimResult) -> tuple[JobRecord, ...]:

@@ -93,6 +93,10 @@ class TestSweepSpec:
             ({"axes": {"n": ("three",)}}, "n='three'"),
             ({"treatment": "immediate-stop"}, "treatment needs feasible_only=True"),
             ({"axes": {"treatment": (None, "detect-only")}}, "treatment needs feasible_only=True"),
+            ({"period_lo": 0}, "period_lo=0, .*need 0 < period_lo <= period_hi"),
+            ({"period_lo": 500, "period_hi": 400}, "period_lo=500, period_hi=400, .*need 0 <"),
+            ({"period_granularity": 0}, "period_granularity=0: period granularity must be"),
+            ({"period_hi": "big"}, "period_hi='big'"),
         ],
     )
     def test_bad_values_fail_fast_on_one_line(self, kwargs, match):

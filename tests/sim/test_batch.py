@@ -26,6 +26,7 @@ from repro.core.treatments import TreatmentKind, plan_treatment
 from repro.exec.sim import run_simulation
 from repro.rng import derive_rng
 from repro.sim.batch import (
+    HORIZON_LIMIT,
     BatchSystemResult,
     _trivial_faults,
     classify,
@@ -194,6 +195,21 @@ class TestEquivalence:
         assert b.misses == sum(1 for r in exact if r[4])
         assert b.failed_task_count == len({r[0] for r in exact if r[4]})
 
+    def test_huge_task_fields_do_not_wrap(self):
+        """A deadline, period or offset at or past the int64 range
+        changes nothing observable and must not wrap into a spurious
+        miss."""
+        ts = TaskSet(
+            [
+                Task("a", cost=1, period=10, deadline=2**63 - 1, priority=3),
+                Task("b", cost=2, period=2**64, deadline=2**65, priority=2),
+                Task("c", cost=1, period=7, deadline=7, offset=2**70, priority=1),
+            ]
+        )
+        (b,) = simulate_batch([ts], [30])
+        assert b.records == exact_records(ts, 30)
+        assert b.misses == 0
+
     def test_zero_job_system_counters(self):
         """A system whose only task releases nothing must report all
         zeros — the empty-segment case of the counter aggregation."""
@@ -204,9 +220,9 @@ class TestEquivalence:
         assert (b.stopped, b.detections, b.collateral_task_count) == (0, 0, 0)
 
     def test_bucketed_run_matches_single_systems(self):
-        """More systems than one bucket (grouped by event count
-        internally) return results in input order, equal to running
-        each system alone."""
+        """A large mixed batch returns results in input order, each
+        equal to running that system alone: systems solved side by
+        side never influence each other."""
         systems = generate_population(
             600, small_periods(n=2, utilization=0.6), seed=99, key=("bucket",)
         )
@@ -277,7 +293,7 @@ class TestFaultTreatmentEquivalence:
 
     def test_batched_sweep_sized_run_matches_exact(self):
         """Faulted + treated systems through one big simulate_batch
-        call (bucketing included) equal per-system exact runs."""
+        call equal per-system exact runs."""
         systems = generate_population(
             60,
             small_periods(n=3, utilization=0.6, deadline_factor=0.95),
@@ -296,10 +312,43 @@ class TestFaultTreatmentEquivalence:
         for ts, h, fm, k, b in zip(systems, horizons, faults, kinds, batch):
             assert b.records == exact_records(ts, h, fm, k)
 
+    def test_arbitrary_deadline_corpus_bit_identical(self):
+        """Deadlines up to 3x the period under the stopping treatments:
+        detector offsets then exceed the period, so a job can wait
+        behind a predecessor that is itself stopped.  The corpus must
+        contain such plans and such backlogged stops."""
+        systems: list[TaskSet] = []
+        for cell, (factor, n, u) in enumerate([(1.8, 3, 0.7), (2.5, 4, 0.75), (3.0, 3, 0.8)]):
+            systems.extend(
+                generate_population(
+                    60,
+                    small_periods(n=n, utilization=u, deadline_factor=factor),
+                    seed=1808,
+                    key=("arbdl", cell),
+                    feasible_only=True,
+                )
+            )
+        beyond_period = backlogged_stops = 0
+        for i, ts in enumerate(systems):
+            treatment = (TreatmentKind.IMMEDIATE_STOP, TreatmentKind.EQUITABLE_ALLOWANCE)[i % 2]
+            horizon = 4 * max(t.period for t in ts)
+            plan = plan_treatment(ts, treatment)
+            periods = {t.name: t.period for t in ts}
+            beyond_period += any(d.offset > periods[name] for name, d in plan.detectors.items())
+            b = assert_parity(ts, horizon, self._fault_model(ts, i, seed=1808), treatment)
+            release = {(r[0], r[1]): r[2] for r in b.records}
+            backlogged_stops += sum(
+                1
+                for name, k, _, finished, _, stopped, _ in b.records
+                if stopped and release.get((name, k + 1), finished) < finished
+            )
+        assert beyond_period > 0 and backlogged_stops > 0, (beyond_period, backlogged_stops)
+
     def test_detector_completion_tie_is_not_a_stop(self):
         """A job completing exactly at its detector instant completes:
-        COMPLETION outranks DETECTOR in the engine, and the stepper
-        applies completions first within an instant."""
+        COMPLETION outranks DETECTOR in the engine, and the level
+        recurrence cuts a job only when its demand exceeds the supply
+        at its detector instant."""
         ts = TaskSet([Task("a", cost=2, period=10, deadline=10, priority=1)])
         b = assert_parity(ts, 100, None, TreatmentKind.IMMEDIATE_STOP)
         assert b.stopped == 0 and b.detections == 0
@@ -538,3 +587,38 @@ class TestValidation:
 
     def test_empty_batch(self):
         assert simulate_batch([], []) == []
+
+    @pytest.mark.parametrize("treatment", [None, TreatmentKind.IMMEDIATE_STOP])
+    def test_horizon_at_the_limit_matches_exact(self, treatment):
+        """At HORIZON_LIMIT the stepper still equals the exact engine,
+        also in a batch whose keys need several int64 slabs, with a
+        job overrunning into its detector and one unfinished at the
+        horizon."""
+        h = HORIZON_LIMIT
+        ts = TaskSet(
+            [
+                Task("hi", cost=3, period=h // 2, deadline=h // 4, priority=2),
+                Task("lo", cost=h // 3, period=h // 2 + 1, deadline=h // 2, offset=5, priority=1),
+            ]
+        )
+        faults = FaultInjector([CostOverrun("lo", 1, h // 3)])
+        assert classify(ts, faults=faults, treatment=treatment, horizon=h) is None
+        b = assert_parity(ts, h, faults, treatment)
+        assert any(r[3] == -1 for r in b.records)
+        assert b.stopped == (treatment is not None)
+        plan = plan_treatment(ts, treatment) if treatment is not None else None
+        batch = simulate_batch([ts] * 7, [h] * 7, faults=[faults] * 7, plans=[plan] * 7)
+        assert all(other == b for other in batch)
+
+    @pytest.mark.parametrize("horizon", [HORIZON_LIMIT + 1, 2**62 + 5])
+    def test_horizon_beyond_the_limit_is_refused(self, horizon):
+        ts = TaskSet(
+            [
+                Task("a", cost=1, period=10, priority=2),
+                Task("b", cost=1, period=15, priority=1),
+            ]
+        )
+        assert classify(ts, horizon=horizon) == "horizon-beyond-int64"
+        with pytest.raises(ValueError, match=f"horizon {horizon} exceeds") as err:
+            simulate_batch([ts], [horizon])
+        assert "\n" not in str(err.value)
