@@ -2,11 +2,9 @@
 
 Usage::
 
-    python -m repro.analysis [paths...] [--format text|json|sarif]
-                             [--select RT001,TS003] [--list-rules]
-                             [--flow] [--changed-only] [--cache-dir DIR]
-                             [--baseline [PATH]] [--write-baseline [PATH]]
-                             [--fix]
+    python -m repro.analysis [paths...] [--format text|json]
+                             [--select RT001,TS003] [--strict]
+                             [--list-rules] [--flow]
 
 Paths may be files or directories.  ``.py`` files go through the AST
 linter; scenario files (``.scn``/``.scenario``/``.tasks``, or any
@@ -16,18 +14,15 @@ current directory.
 
 ``--flow`` adds the whole-program pass (RT1xx: cross-module taint,
 time-type escapes, rng process escapes, hot-path purity — see
-:mod:`repro.analysis.flow`).  ``--changed-only`` (implies ``--flow``)
-reuses per-file summaries from a content-hash cache so only edited
-files are re-parsed; the hit/miss note goes to stderr.  ``--baseline``
-filters the report to findings not in the accepted-findings file, so
-legacy debt doesn't fail CI while new findings do; ``--write-baseline``
-records the current findings as accepted.  ``--fix`` applies the safe
-mechanical autofixes first.
+:mod:`repro.analysis.flow`).  A finding is accepted only by an inline
+``# noqa: RTxxx`` on its line; there is no accepted-findings file.
+The repository gate is::
+
+    python -m repro.analysis src/repro benchmarks examples --flow --strict
 
 Exit status: 0 when clean or warnings only, 1 when any error-severity
 diagnostic was produced (or with ``--strict``, any diagnostic at all),
-2 on usage errors.  With ``--baseline``, only non-baselined findings
-count.
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -120,11 +115,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _note(message: str) -> None:
-    """Diagnostics go to stdout; notes must not corrupt json/sarif."""
-    print(message, file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -138,7 +128,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -162,43 +152,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="store_true",
         help="also run the whole-program RT1xx rules (repro.analysis.flow)",
     )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="reuse cached per-file summaries; only files whose content "
-        "hash changed are re-parsed (implies --flow)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="incremental summary cache location "
-        "(default: .repro-cache/flow)",
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="filter out findings recorded in the accepted-findings file "
-        "(default PATH: analysis-baseline.json); only new findings "
-        "affect the exit status",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="record the current findings as the accepted baseline and exit",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply safe mechanical autofixes (hash-seeded Random -> "
-        "derive_rng, stale # noqa removal) before checking",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -213,19 +166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-
-    for flag, value in (("--baseline", args.baseline), ("--write-baseline", args.write_baseline)):
-        if value and Path(value).is_dir():
-            # nargs="?" grabs a following positional; catch the classic
-            # `--baseline src/repro` mix-up instead of misreading a tree.
-            print(
-                f"error: {flag} takes a JSON file, got directory {value!r} "
-                f"(put paths before {flag}, or use {flag}=PATH)",
-                file=sys.stderr,
-            )
-            return 2
-
-    run_flow = args.flow or args.changed_only
 
     codes = None
     if args.select:
@@ -247,80 +187,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             return 2
 
-    if args.fix:
-        from repro.analysis.flow.autofix import fix_file
-
-        py_files, _ = discover_targets(paths)
-        fixed_files = 0
-        for py in py_files:
-            fixes = fix_file(py)
-            if fixes:
-                fixed_files += 1
-                for fix in fixes:
-                    where = f"{py}:{fix.line}" if fix.line else str(py)
-                    _note(f"fixed {where}: {fix.description}")
-        _note(f"autofix: {fixed_files} file(s) changed")
-
     diagnostics = check_paths(paths, codes=codes)
 
-    if run_flow:
-        from repro.analysis.flow import FlowCache, analyze
-        from repro.analysis.flow.cache import DEFAULT_FLOW_CACHE_DIR
+    if args.flow:
+        from repro.analysis.flow import analyze
 
-        cache = None
-        if args.changed_only:
-            cache = FlowCache(args.cache_dir or DEFAULT_FLOW_CACHE_DIR)
-        flow_diags, _model = analyze(paths, codes=codes, cache=cache)
-        if cache is not None:
-            stats = cache.stats
-            _note(
-                f"flow cache: {stats.hits} reused, "
-                f"{stats.misses} re-analyzed"
-            )
+        flow_diags, _model = analyze(paths, codes=codes)
         diagnostics = sorted([*diagnostics, *flow_diags], key=sort_key)
-
-    if args.write_baseline is not None:
-        from repro.analysis.flow.baseline import DEFAULT_BASELINE_PATH, save_baseline
-
-        target = args.write_baseline or DEFAULT_BASELINE_PATH
-        count = save_baseline(target, diagnostics)
-        _note(f"baseline: wrote {count} accepted finding(s) to {target}")
-        return 0
-
-    legacy_count = 0
-    if args.baseline is not None:
-        from repro.analysis.flow.baseline import (
-            DEFAULT_BASELINE_PATH,
-            diff_baseline,
-            load_baseline,
-        )
-
-        source = args.baseline or DEFAULT_BASELINE_PATH
-        diff = diff_baseline(diagnostics, load_baseline(source))
-        legacy_count = len(diff.legacy)
-        if legacy_count:
-            _note(
-                f"baseline: {legacy_count} accepted finding(s) suppressed "
-                f"({source})"
-            )
-        if diff.resolved:
-            _note(
-                f"baseline: {diff.resolved} entr{'y' if diff.resolved == 1 else 'ies'} "
-                f"no longer fire(s) — re-tighten with --write-baseline"
-            )
-        diagnostics = diff.new
 
     if args.format == "json":
         print(render_json(diagnostics))
-    elif args.format == "sarif":
-        from repro.analysis.flow.sarif import render_sarif
-
-        print(render_sarif(diagnostics))
     elif diagnostics:
         print(render_text(diagnostics))
     else:
-        suffix = " (beyond the baseline)" if legacy_count else ""
-        print(f"clean: no diagnostics{suffix}")
+        print("clean: no diagnostics")
 
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return 1

@@ -5,17 +5,14 @@ time, so any discipline violation that crosses a call into another
 module is invisible to it.  This package adds the missing layer:
 
 * :mod:`~repro.analysis.flow.model` — parse the project once into
-  picklable per-module summaries plus import/call graphs;
+  per-module summaries plus import/call graphs;
 * :mod:`~repro.analysis.flow.taint` — a three-kind taint lattice
   (volatile / integer-ns / rng) with an interprocedural fixpoint;
-* :mod:`~repro.analysis.flow.rules` — the RT1xx cross-module rules;
-* :mod:`~repro.analysis.flow.cache` — content-hash incremental store
-  so ``--changed-only`` re-extracts just the edited files;
-* :mod:`~repro.analysis.flow.sarif` / :mod:`~repro.analysis.flow.baseline`
-  / :mod:`~repro.analysis.flow.autofix` — CI surface: code-scanning
-  output, the legacy-findings ratchet, and safe mechanical fixes.
+* :mod:`~repro.analysis.flow.rules` — the RT1xx cross-module rules.
 
-:func:`analyze` is the one-call entry the CLI and tests use.
+A finding is accepted only by an inline code-specific ``# noqa: RTxxx``
+on its line; there is no accepted-findings file.  :func:`analyze` is
+the one-call entry the CLI and tests use.
 """
 
 from __future__ import annotations
@@ -24,19 +21,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.flow.autofix import Fix, fix_file, fix_source
-from repro.analysis.flow.baseline import (
-    DEFAULT_BASELINE_PATH,
-    BaselineDiff,
-    diff_baseline,
-    fingerprint,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.flow.cache import DEFAULT_FLOW_CACHE_DIR, FlowCache
 from repro.analysis.flow.model import ProjectModel, build_model
 from repro.analysis.flow.rules import FLOW_RULES, flow_rule_codes, run_flow_rules
-from repro.analysis.flow.sarif import render_sarif
 from repro.analysis.flow.taint import TaintState, propagate
 
 __all__ = [
@@ -48,18 +34,6 @@ __all__ = [
     "run_flow_rules",
     "FLOW_RULES",
     "flow_rule_codes",
-    "FlowCache",
-    "DEFAULT_FLOW_CACHE_DIR",
-    "render_sarif",
-    "DEFAULT_BASELINE_PATH",
-    "BaselineDiff",
-    "diff_baseline",
-    "fingerprint",
-    "load_baseline",
-    "save_baseline",
-    "Fix",
-    "fix_file",
-    "fix_source",
 ]
 
 
@@ -68,12 +42,9 @@ def analyze(
     *,
     codes: Iterable[str] | None = None,
     hot_roots: Sequence[str] | None = None,
-    cache: FlowCache | None = None,
 ) -> tuple[list[Diagnostic], ProjectModel]:
-    """Build (or incrementally refresh) the project model for *paths*
-    and run the whole-program rules; the cache, when given, is saved."""
-    model = build_model(paths, cache=cache)
+    """Build the project model for *paths* and run the whole-program
+    rules."""
+    model = build_model(paths)
     diagnostics = run_flow_rules(model, codes=codes, hot_roots=hot_roots)
-    if cache is not None:
-        cache.save()
     return diagnostics, model

@@ -12,10 +12,6 @@ everything the cross-module rules need:
 * **float-op sites** (candidate RT102 escapes) and **mutation sites**
   (candidate RT104 impurities).
 
-Summaries are plain picklable dataclasses, which is what makes the
-incremental cache (:mod:`repro.analysis.flow.cache`) possible: a file
-whose content hash is unchanged is never re-parsed.
-
 Name resolution is deliberately approximate (and documented as such in
 DESIGN.md §3.7): a call resolves through import bindings, module-local
 definitions, ``self.method(...)`` within a class, and locals whose type
@@ -28,7 +24,6 @@ for taint, underapproximate for reachability.
 from __future__ import annotations
 
 import ast
-import zlib
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -57,7 +52,6 @@ __all__ = [
     "ProjectModel",
     "build_model",
     "extract_module",
-    "content_hash",
 ]
 
 #: Methods on RNG objects that *draw* — results are deterministic given
@@ -74,13 +68,8 @@ _RNG_DRAWS = frozenset(
 _BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 
-def content_hash(data: bytes) -> str:
-    """CRC-32 content fingerprint, hex — the exec-cache idiom."""
-    return f"{zlib.crc32(data):08x}"
-
-
 # ---------------------------------------------------------------------------
-# Summary records (picklable; everything the rules need, no ASTs).
+# Summary records (everything the rules need, no ASTs).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -171,7 +160,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    content_hash: str
     bindings: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
@@ -752,20 +740,17 @@ class _FunctionExtractor:
 
 def extract_module(source: str, *, module: str, path: str) -> ModuleSummary:
     """Parse *source* and distil its flow summary."""
-    digest = content_hash(source.encode("utf-8", "surrogatepass"))
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return ModuleSummary(
             module=module,
             path=path,
-            content_hash=digest,
             parse_error=f"cannot parse: {exc.msg}",
         )
     summary = ModuleSummary(
         module=module,
         path=path,
-        content_hash=digest,
         suppressions=_scan_suppressions(source),
     )
     summary.bindings = _import_bindings(tree, module)
@@ -885,33 +870,14 @@ class ProjectModel:
         return codes is None or code in codes
 
 
-def build_model(
-    paths: Sequence[str | Path],
-    *,
-    cache: "object | None" = None,
-) -> ProjectModel:
-    """Parse every module under *paths* (files or package/dir roots).
-
-    *cache*, when given, must provide ``lookup(path, digest)`` and
-    ``store(path, digest, summary)`` (see
-    :class:`repro.analysis.flow.cache.FlowCache`); files whose content
-    hash is unchanged reuse their cached summary without re-parsing.
-    """
+def build_model(paths: Sequence[str | Path]) -> ProjectModel:
+    """Parse every module under *paths* (files or package/dir roots)."""
     model = ProjectModel()
     for root in paths:
         for module, file in _module_files(Path(root)):
-            data = file.read_bytes()
-            digest = content_hash(data)
-            summary = None
-            if cache is not None:
-                summary = cache.lookup(str(file), digest)
-            if summary is None:
-                summary = extract_module(
-                    data.decode("utf-8", "surrogatepass"),
-                    module=module,
-                    path=str(file),
-                )
-                if cache is not None:
-                    cache.store(str(file), digest, summary)
-            model.modules[module] = summary
+            model.modules[module] = extract_module(
+                file.read_bytes().decode("utf-8", "surrogatepass"),
+                module=module,
+                path=str(file),
+            )
     return model

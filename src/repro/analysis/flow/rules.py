@@ -3,8 +3,8 @@
 Each rule consumes the :class:`~repro.analysis.flow.model.ProjectModel`
 plus the propagated :class:`~repro.analysis.flow.taint.TaintState` and
 emits ordinary :class:`~repro.analysis.diagnostics.Diagnostic` records,
-so the text/JSON/SARIF renderers, ``# noqa`` suppression and the
-baseline machinery treat per-file and whole-program findings uniformly.
+so the text/JSON renderers and ``# noqa`` suppression treat per-file
+and whole-program findings uniformly.
 
 =========  ==========================================================
 ``RT101``  determinism taint: a volatile value (wall clock, env var,

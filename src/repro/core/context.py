@@ -203,26 +203,26 @@ class AnalysisContext:
     def wcrt(self, name: str) -> int | None:
         return self.base().wcrt(name)
 
-    # -- parametric threshold sweeps (the §4 allowance searches) -------------------
+    # -- threshold searches (the §4 allowance searches) ---------------------------
     def max_inflation(self, hi: int) -> int:
         """Largest ``a`` in ``[0, hi]`` with every cost inflated by ``a``
-        still feasible — the §4.2 search, computed as an exact
-        parametric sweep instead of a binary search.
+        still feasible — the §4.2 search.
 
-        Within one ceiling region every fixed point is affine in ``a``
-        (``R(a+e) = R(a) + S*e`` while no ``ceil`` changes), so the
-        sweep advances ``a`` by the largest provably safe step in pure
-        arithmetic and only pays an exact recompute at each ceiling /
-        busy-period-closure crossing.  Total work is proportional to the
-        ceilings crossed *once*, not once per probe.  The base set must
-        be feasible.
+        ``hi`` is first capped where some level load would exceed 1.
+        Each rank's WCRT is monotone in ``a``, so the answer is the
+        minimum of per-rank thresholds: ranks are visited most fragile
+        first, a rank that passes at the running minimum costs one
+        single-rank probe, and a rank that fails there is bisected with
+        single-rank probes on warm-started views
+        (:meth:`_threshold_sweep`).  The base set must be feasible.
         """
         return self._threshold_sweep(("inflate",), None, 0, hi)
 
     def max_task_cost_delta(self, name: str, hi: int) -> int:
         """Largest ``x`` in ``[0, hi]`` with the named task's cost
         raised by ``x`` still feasible — the §4.3 solo-overrun search,
-        swept parametrically like :meth:`max_inflation`."""
+        the same per-rank bisection as :meth:`max_inflation` (ranks the
+        task never interferes with are skipped)."""
         rank = self._rank_of[name]
         return self._threshold_sweep(("cost", name), rank, self._base_costs[rank], hi)
 

@@ -84,7 +84,9 @@ JobRecord = tuple[str, int, int, int, bool, bool, bool]
 #: Largest horizon the stepper accepts.  Every instant the level pass
 #: forms stays below ``2 * horizon + 5`` and so within int64; longer
 #: runs take the exact engine (:func:`classify` reason
-#: ``horizon-beyond-int64``).
+#: ``horizon-beyond-int64``).  A job demand (declared cost plus the
+#: fault model's largest extra) must stay below it too, so the demand
+#: table holds it in int64 (reason ``demand-beyond-int64``).
 HORIZON_LIMIT = 1 << 61
 
 #: Fault models the stepper can expand into a per-job demand table:
@@ -191,7 +193,9 @@ def classify(
     * ``zero-detector-offset`` — an explicit plan that already did;
     * ``context-switch-cost`` / ``sporadic-arrivals`` /
       ``critical-sections`` / ``duplicate-priorities`` — as before;
-    * ``horizon-beyond-int64`` — a *horizon* past :data:`HORIZON_LIMIT`.
+    * ``horizon-beyond-int64`` — a *horizon* past :data:`HORIZON_LIMIT`;
+    * ``demand-beyond-int64`` — a task whose cost plus the fault
+      model's largest extra reaches :data:`HORIZON_LIMIT`.
 
     *horizon*, when given, also lets a :class:`FaultInjector` whose
     deviations all target jobs released after the horizon count as
@@ -202,6 +206,8 @@ def classify(
     if faults is not None and not _trivial_faults(faults, taskset, horizon):
         if not isinstance(faults, _TABLE_FAULTS):
             return "opaque-fault-model"
+    if _demand_beyond_int64(taskset, faults, horizon) is not None:
+        return "demand-beyond-int64"
     kind = treatment.kind if isinstance(treatment, TreatmentPlan) else treatment
     if kind is not None and kind is not TreatmentKind.NO_DETECTION:
         if kind.weakly_hard:
@@ -255,6 +261,23 @@ def _trivial_faults(
     return False
 
 
+def _demand_beyond_int64(
+    taskset: TaskSet, faults: FaultModel | None, horizon: int | None
+) -> str | None:
+    """The first task whose cost plus the largest extra *faults* can
+    grant it reaches :data:`HORIZON_LIMIT`, or ``None``."""
+    extra = 0
+    if faults is not None and not _trivial_faults(faults, taskset, horizon):
+        if isinstance(faults, RandomFaults):
+            extra = faults.max_extra
+        elif isinstance(faults, FaultInjector):
+            extra = max([0, *faults.deviations.values()])
+    for task in taskset:
+        if task.cost + extra >= HORIZON_LIMIT:
+            return task.name
+    return None
+
+
 def simulate_batch(
     systems: Sequence[TaskSet],
     horizons: Sequence[int],
@@ -293,6 +316,12 @@ def simulate_batch(
             raise ValueError("opaque fault model: classify() should have rejected this system")
         if plan is not None and plan.kind is TreatmentKind.SYSTEM_ALLOWANCE:
             raise ValueError("system allowance: classify() should have rejected this system")
+        name = _demand_beyond_int64(ts, fm, h)
+        if name is not None:
+            raise ValueError(
+                f"task {name!r}: cost plus largest fault extra reaches the "
+                f"stepper's limit {HORIZON_LIMIT}"
+            )
     # The level pass keys (system, instant) pairs as ``system * stride +
     # instant`` with ``stride = horizon + 2``; a batch whose keys would
     # not fit in int64 runs in slabs that do (at least three systems
@@ -353,17 +382,11 @@ def _demand_table(
                         )
                     )
     if segments:
+        sizes = [seeds.size for _, seeds, _, _ in segments]
         extras = uniform_extras(
             np.concatenate([seeds for _, seeds, _, _ in segments]),
-            np.concatenate(
-                [np.full(seeds.size, rate) for _, seeds, rate, _ in segments]
-            ),
-            np.concatenate(
-                [
-                    np.full(seeds.size, m, dtype=np.int64)
-                    for _, seeds, _, m in segments
-                ]
-            ),
+            np.repeat(np.array([rate for _, _, rate, _ in segments]), sizes),
+            np.repeat(np.array([m for _, _, _, m in segments], dtype=np.int64), sizes),
         )
         pos = 0
         for base, seeds, _, _ in segments:

@@ -1,5 +1,5 @@
-"""The flow-layer CLI surface: --flow, --changed-only, sarif, baseline,
---fix, plus the unified discovery / --strict satellites."""
+"""The flow-layer CLI surface: --flow, plus the unified discovery /
+--strict satellites."""
 
 import json
 
@@ -50,129 +50,6 @@ class TestFlowFlag:
         out = capsys.readouterr().out
         for code in ("RT101", "RT102", "RT103", "RT104", "RT099"):
             assert code in out
-
-
-class TestChangedOnly:
-    def test_second_run_reuses_all_summaries(
-        self, write_package, tmp_path, capsys
-    ):
-        root = write_package(RT102_FILES)
-        cache = tmp_path / "cache"
-        args = [str(root), "--changed-only", "--cache-dir", str(cache)]
-
-        main(args)
-        first = capsys.readouterr().err
-        assert "0 reused" in first
-
-        main(args)
-        warm = capsys.readouterr().err
-        assert "0 re-analyzed" in warm
-
-        # Touch one file: exactly one module re-analyzed.
-        target = root / "mint.py"
-        target.write_text(target.read_text() + "\n# touched\n")
-        main(args)
-        touched = capsys.readouterr().err
-        assert "1 re-analyzed" in touched
-
-    def test_changed_only_implies_flow(self, write_package, tmp_path, capsys):
-        root = write_package(RT102_FILES)
-        rc = main(
-            [str(root), "--changed-only", "--cache-dir", str(tmp_path / "c")]
-        )
-        assert rc == 1  # the RT102 finding — flow ran without --flow
-
-
-class TestSarifOutput:
-    def test_sarif_document_on_stdout(self, write_package, capsys):
-        root = write_package(RT102_FILES)
-        main([str(root), "--flow", "--format", "sarif"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        results = doc["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["RT102"]
-
-    def test_notes_do_not_corrupt_sarif(self, write_package, tmp_path, capsys):
-        root = write_package(RT102_FILES)
-        main(
-            [
-                str(root),
-                "--changed-only",
-                "--cache-dir",
-                str(tmp_path / "c"),
-                "--format",
-                "sarif",
-            ]
-        )
-        captured = capsys.readouterr()
-        json.loads(captured.out)  # stdout is pure JSON
-        assert "flow cache" in captured.err
-
-
-class TestBaselineFlags:
-    def test_write_then_enforce(self, write_package, tmp_path, capsys):
-        root = write_package(RT102_FILES)
-        bl = tmp_path / "bl.json"
-
-        assert main([str(root), "--flow", "--write-baseline", str(bl)]) == 0
-        assert json.loads(bl.read_text())["findings"]
-
-        # The recorded finding no longer fails the run.
-        assert main([str(root), "--flow", "--baseline", str(bl)]) == 0
-        captured = capsys.readouterr()
-        assert "clean" in captured.out
-        assert "accepted finding(s) suppressed" in captured.err
-
-    def test_new_finding_still_fails(self, write_package, tmp_path, capsys):
-        root = write_package(RT102_FILES)
-        bl = tmp_path / "bl.json"
-        main([str(root), "--flow", "--write-baseline", str(bl)])
-        capsys.readouterr()
-
-        (root / "consume.py").write_text(
-            (root / "consume.py").read_text()
-            + "\n\ndef also_bad(n):\n    return grant() / (n + 1)\n"
-        )
-        assert main([str(root), "--flow", "--baseline", str(bl)]) == 1
-        out = capsys.readouterr().out
-        assert "also_bad" in out and "bad_mean" not in out
-
-    def test_resolved_entries_warn_but_pass(
-        self, write_package, tmp_path, capsys
-    ):
-        root = write_package(RT102_FILES)
-        bl = tmp_path / "bl.json"
-        main([str(root), "--flow", "--write-baseline", str(bl)])
-        capsys.readouterr()
-
-        (root / "consume.py").write_text(
-            "from pkg.mint import grant\n\n\ndef fixed(n):\n    return grant() // n\n"
-        )
-        assert main([str(root), "--flow", "--baseline", str(bl)]) == 0
-        assert "no longer fire" in capsys.readouterr().err
-
-
-class TestFixFlag:
-    def test_fix_rewrites_then_checks(self, tmp_path, capsys):
-        p = tmp_path / "seeding.py"
-        p.write_text(
-            "import random\n"
-            "\n"
-            "\n"
-            "def make(name):\n"
-            "    return random.Random(hash(name))\n"
-        )
-        assert main([str(p), "--fix"]) == 0
-        text = p.read_text()
-        assert "derive_rng(name)" in text
-        assert "hash(" not in text
-        assert "file(s) changed" in capsys.readouterr().err
-
-    def test_fix_strips_stale_noqa(self, tmp_path, capsys):
-        p = tmp_path / "stale.py"
-        p.write_text("def f(x):\n    return x  # noqa: RT001\n")
-        main([str(p), "--fix"])
-        assert "noqa" not in p.read_text()
 
 
 class TestDiscoveryUnification:

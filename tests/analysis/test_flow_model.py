@@ -1,7 +1,6 @@
 """Project model extraction: bindings, call graph, reachability."""
 
 from repro.analysis.flow import build_model
-from repro.analysis.flow.model import content_hash
 
 
 FIXTURE = {
@@ -110,8 +109,3 @@ class TestRobustness:
         root = write_package({"broken.py": "def broken(:\n    pass\n"})
         model = build_model([root])
         assert model.modules["pkg.broken"].parse_error is not None
-
-    def test_content_hash_is_stable_and_content_addressed(self):
-        assert content_hash(b"x") == content_hash(b"x")
-        assert content_hash(b"x") != content_hash(b"y")
-        assert len(content_hash(b"")) == 8

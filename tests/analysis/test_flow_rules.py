@@ -265,6 +265,20 @@ class TestRT104:
         )
         assert all("rebuild" not in d.message for d in diags)
 
+    def test_noqa_suppresses(self, write_package):
+        files = dict(RT104_FILES)
+        files["mutate.py"] = files["mutate.py"].replace(
+            'system.tasks.append("late-admitted")',
+            'system.tasks.append("late-admitted")  # noqa: RT104',
+        )
+        diags = flow(
+            write_package,
+            files,
+            codes=["RT104"],
+            hot_roots=["*.engine.Engine.run"],
+        )
+        assert diags == []
+
     def test_own_slot_rebinding_is_exempt(self, write_package):
         files = {
             "engine.py": """

@@ -24,6 +24,7 @@ from repro.core.faults import (
 from repro.core.task import Task, TaskSet
 from repro.core.treatments import TreatmentKind, plan_treatment
 from repro.exec.sim import run_simulation
+from repro.exec.sweep import _exact_fallback
 from repro.rng import derive_rng
 from repro.sim.batch import (
     HORIZON_LIMIT,
@@ -622,3 +623,44 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"horizon {horizon} exceeds") as err:
             simulate_batch([ts], [horizon])
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cost,faults",
+        [
+            (2**63, None),
+            (2**63 - 5, RandomFaults(rate=1.0, max_extra=100, seed=3)),
+            (2**63, FaultInjector([CostOverrun("a", 0, 100)])),
+        ],
+        ids=["cost", "random-extra", "injected-extra"],
+    )
+    def test_demand_beyond_the_limit_takes_the_exact_engine(self, cost, faults):
+        """A demand past int64 used to raise OverflowError or wrap into
+        a negative finish instant; it is routed to the exact engine,
+        and the stepper called directly refuses it on one line."""
+        ts = TaskSet([Task("a", cost=cost, period=2**64, deadline=2**64, priority=1)])
+        assert classify(ts, faults=faults, horizon=100) == "demand-beyond-int64"
+        ((routed, _),) = _exact_fallback([(ts, 100, faults, None)])
+        assert routed.records == exact_records(ts, 100, faults) == (
+            ("a", 0, 0, -1, False, False, False),
+        )
+        with pytest.raises(ValueError, match="task 'a': cost plus largest") as err:
+            simulate_batch([ts], [100], faults=[faults])
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cost,faults",
+        [
+            (HORIZON_LIMIT - 1, None),
+            (HORIZON_LIMIT - 101, RandomFaults(rate=1.0, max_extra=100, seed=3)),
+            (HORIZON_LIMIT - 101, FaultInjector([CostOverrun("a", 0, 100)])),
+        ],
+        ids=["cost", "random-extra", "injected-extra"],
+    )
+    def test_demand_one_below_the_limit_matches_exact(self, cost, faults):
+        """Cost plus largest extra at HORIZON_LIMIT - 1 stays on the
+        stepper and completes at its demand, as on the exact engine."""
+        ts = TaskSet([Task("a", cost=cost, period=2**64, deadline=2**64, priority=1)])
+        assert classify(ts, faults=faults, horizon=HORIZON_LIMIT) is None
+        b = assert_parity(ts, HORIZON_LIMIT, faults)
+        ((_, _, _, finished, *_),) = b.records
+        assert cost <= finished < HORIZON_LIMIT
